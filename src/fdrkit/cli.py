@@ -10,11 +10,11 @@ deterministic given its flags.
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import os
 import time
+from dataclasses import asdict
 
 import click
 import numpy as np
@@ -70,43 +70,44 @@ def _config_file_option(f):
     )(f)
 
 
+#: training flag name -> TrainingConfig field, where the two differ
+_FIELD_OF_FLAG = {"grid_size": "lambda_grid_size", "stage2": "apply_stage2"}
+_DEFAULTS = TrainingConfig()
+
+
 def _training_options(f):
-    for opt in reversed([
-        click.option("--lr", default=1e-3, show_default=True, type=float),
-        click.option("--epochs", default=100, show_default=True, type=int),
-        click.option("--batch-size", default=128, show_default=True, type=int),
-        click.option("--weight-decay", default=1e-4, show_default=True, type=float),
-        click.option("--momentum", default=0.9, show_default=True, type=float),
-        click.option("--val-fraction", default=0.2, show_default=True, type=float),
-        click.option("--patience", default=10, show_default=True, type=int),
-        click.option("--grid-size", default=1000, show_default=True, type=int,
-                     help="Cells in the mixing-weight quadrature."),
-        click.option("--hidden", default="200,200", show_default=True,
+    """Training flags; their defaults are the TrainingConfig defaults."""
+    def opt(decls, help=None, **kw):
+        name = decls.split("/")[0].lstrip("-").replace("-", "_")
+        default = getattr(_DEFAULTS, _FIELD_OF_FLAG.get(name, name))
+        return click.option(decls, default=default, show_default=True,
+                            help=help, **kw)
+
+    for option in reversed([
+        opt("--lr"),
+        opt("--epochs"),
+        opt("--batch-size"),
+        opt("--weight-decay"),
+        opt("--momentum"),
+        opt("--val-fraction"),
+        opt("--patience"),
+        opt("--grid-size", "Cells in the mixing-weight quadrature."),
+        click.option("--hidden", show_default=True,
+                     default=",".join(map(str, NetworkConfig.hidden_sizes)),
                      help="Comma-separated hidden layer sizes."),
-        click.option("--standardize/--no-standardize", default=True,
-                     show_default=True),
-        click.option("--stage2/--no-stage2", default=True, show_default=True,
-                     help="Apply the auxiliary-covariate adjustment."),
-        click.option("--adjust-mode", default="mean", show_default=True,
-                     type=click.Choice(["mean", "sample"])),
-        click.option("--f1-sweeps", default=10, show_default=True, type=int,
-                     help="Averaging passes of the alternative estimator."),
+        opt("--standardize/--no-standardize"),
+        opt("--stage2/--no-stage2",
+            "Apply the auxiliary-covariate adjustment."),
+        opt("--adjust-mode", type=click.Choice(["mean", "sample"])),
+        opt("--f1-sweeps", "Averaging passes of the alternative estimator."),
     ]):
-        f = opt(f)
+        f = option(f)
     return f
 
 
-def _training_config(seed, lr, epochs, batch_size, weight_decay, momentum,
-                     val_fraction, patience, grid_size, standardize, stage2,
-                     adjust_mode, f1_sweeps) -> TrainingConfig:
+def _config_of_flags(seed, flags: dict) -> TrainingConfig:
     return TrainingConfig(
-        lr=lr, epochs=epochs, batch_size=batch_size,
-        weight_decay=weight_decay, momentum=momentum,
-        val_fraction=val_fraction, patience=patience,
-        lambda_grid_size=grid_size, seed=seed,
-        standardize=standardize, apply_stage2=stage2,
-        adjust_mode=adjust_mode, f1_sweeps=f1_sweeps,
-    )
+        seed=seed, **{_FIELD_OF_FLAG.get(k, k): v for k, v in flags.items()})
 
 
 @click.group()
@@ -137,7 +138,7 @@ def simulate(scenario, seed, n_override, out):
         "scenario": scenario.upper(),
         "n": table.n,
         "seed": seed,
-        "config_hash": _hash_config(cfg.to_dict()),
+        "config_hash": _hash_config(asdict(cfg)),
         "out": str(out),
     }
     _log(f"wrote {table.n} rows to {out}")
@@ -158,17 +159,13 @@ def fit(in_path, variant, seed, out, **train_kwargs):
     hidden = tuple(int(h) for h in train_kwargs.pop("hidden").split(","))
     try:
         table = load_table(in_path)
-        config = _training_config(seed, **train_kwargs)
+        config = _config_of_flags(seed, train_kwargs)
         if table.q == 0:
             _log("warning: table has no auxiliary columns; "
                  "the Stage II adjustment will be skipped")
-        d_in = table.k if variant == "a" else table.k + table.q
-        seeds = np.random.SeedSequence(seed).generate_state(5)
-        net_config = NetworkConfig(input_dim=d_in, hidden_sizes=hidden,
-                                   init_seed=int(seeds[2]))
         t0 = time.perf_counter()
         model = train(table, config, variant=f"neurt_{variant}",
-                      net_config=net_config)
+                      hidden_sizes=hidden)
         seconds = time.perf_counter() - t0
         model.save(out)
     except FdrkitError as e:
@@ -182,7 +179,7 @@ def fit(in_path, variant, seed, out, **train_kwargs):
         "epochs_run": len(model.train_log["epochs"]) - 1,
         "pi1_hat": model.pi1_hat,
         "seconds": round(seconds, 3),
-        "config_hash": _hash_config({**config.to_dict(),
+        "config_hash": _hash_config({**asdict(config),
                                      "hidden": list(hidden),
                                      "variant": variant}),
         "out": str(out),
@@ -192,7 +189,8 @@ def fit(in_path, variant, seed, out, **train_kwargs):
     _emit(payload)
 
 
-def _run_baseline(method, table, alpha, sidedness, lambda0):
+def _run_baseline(method, table, alpha, sidedness="two_sided", lambda0=0.5):
+    """Discoveries of ``bh`` or ``sbh``; ``benchmark`` runs the defaults."""
     p = z_to_pvalue(table.z, sidedness=sidedness)
     if method == "bh":
         return bh(p, alpha)
@@ -262,28 +260,16 @@ def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
 
 
 def _benchmark_cell(method, seed, scenario, n_override, alpha, hidden,
-                    config_kwargs):
+                    train_flags):
     overrides = {"n": n_override} if n_override else {}
     table = generate(scenario_config(scenario, seed=seed, **overrides))
     t0 = time.perf_counter()
-    if method in _NEURT_METHODS:
-        config = _training_config(seed, **config_kwargs)
-        d_in = table.k if method == "neurt_a" else table.k + table.q
-        net_config = NetworkConfig(
-            input_dim=d_in, hidden_sizes=hidden,
-            init_seed=int(np.random.SeedSequence(seed).generate_state(5)[2]),
-        )
-        model = train(table, config, variant=method, net_config=net_config)
-        ds = select_discoveries(posteriors(model, table), alpha)
-    elif method == "bh":
-        ds = bh(z_to_pvalue(table.z), alpha)
-    elif method == "sbh":
-        ds = storey_bh(z_to_pvalue(table.z), alpha)
+    if method in _BASELINES:
+        ds = _run_baseline(method, table, alpha)
     else:
-        raise click.UsageError(
-            f"unknown method {method!r}; available: "
-            f"{list(_BASELINES) + list(_NEURT_METHODS)}"
-        )
+        model = train(table, _config_of_flags(seed, train_flags),
+                      variant=method, hidden_sizes=hidden)
+        ds = select_discoveries(posteriors(model, table), alpha)
     seconds = time.perf_counter() - t0
     fdp, power, _ = fdp_power(ds, table.h_truth)
     return {
@@ -363,24 +349,13 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
         raise click.UsageError(str(e))
 
     os.makedirs(out_dir, exist_ok=True)
-    cells = [(m, s) for m in method_list for s in seed_list]
-    workers = int(os.environ.get("FDRKIT_THREADS", "1"))
-
-    def run(cell):
-        m, s = cell
-        _log(f"running {m} seed={s}")
-        return _benchmark_cell(m, s, scenario, n_override, alpha, hidden,
-                               train_kwargs)
-
     results = {}
     try:
-        if workers > 1:
-            with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-                for cell, res in zip(cells, pool.map(run, cells)):
-                    results[cell] = res
-        else:
-            for cell in cells:
-                results[cell] = run(cell)
+        for m in method_list:
+            for s in seed_list:
+                _log(f"running {m} seed={s}")
+                results[(m, s)] = _benchmark_cell(
+                    m, s, scenario, n_override, alpha, hidden, train_kwargs)
     except FdrkitError as e:
         raise click.ClickException(str(e))
 

@@ -23,8 +23,9 @@ from .errors import (
 _CONST_TOL = 1e-12
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _frozen(a, dtype=np.float64) -> np.ndarray:
+    """A read-only contiguous copy; the caller's array stays writeable."""
+    a = np.array(a, dtype=dtype, order="C", ndmin=1)
     a.flags.writeable = False
     return a
 
@@ -54,19 +55,17 @@ class HypothesisTable:
     ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        z = _frozen(np.asarray(self.z, dtype=np.float64))
-        X = _frozen(np.asarray(self.X, dtype=np.float64))
+        z = _frozen(self.z)
+        X = _frozen(self.X)
         n = z.shape[0]
-        Xa = self.Xa if self.Xa is not None else np.empty((n, 0))
-        Xa = np.asarray(Xa, dtype=np.float64)
+        Xa = _frozen(self.Xa if self.Xa is not None else np.empty((n, 0)))
         if Xa.ndim == 1:
             Xa = Xa.reshape(n, -1) if Xa.size else Xa.reshape(n, 0)
-        Xa = _frozen(Xa)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Xa", Xa)
         if self.h_truth is not None:
-            h = _frozen(np.asarray(self.h_truth, dtype=np.int64))
+            h = _frozen(self.h_truth, dtype=np.int64)
             object.__setattr__(self, "h_truth", h)
         ids = tuple(str(i) for i in self.ids) if self.ids else tuple(
             str(i) for i in range(n)

@@ -9,7 +9,7 @@ framework.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -52,25 +52,6 @@ class NetworkConfig:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_sizes, 2)
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_sizes": list(self.hidden_sizes),
-            "activation": self.activation,
-            "output_floor": self.output_floor,
-            "init_seed": self.init_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NetworkConfig":
-        return cls(
-            input_dim=d["input_dim"],
-            hidden_sizes=tuple(d["hidden_sizes"]),
-            activation=d["activation"],
-            output_floor=d["output_floor"],
-            init_seed=d["init_seed"],
-        )
-
 
 @dataclass
 class NetworkParams:
@@ -103,7 +84,7 @@ class NetworkParams:
     def to_dict(self) -> dict:
         return {
             "format": _FORMAT_TAG,
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "weights": [[[float(x) for x in row] for row in w] for w in self.weights],
             "biases": [[float(x) for x in b] for b in self.biases],
         }
@@ -113,7 +94,7 @@ class NetworkParams:
         if d.get("format") != _FORMAT_TAG:
             raise DomainError(f"unsupported network format {d.get('format')!r}")
         return cls(
-            config=NetworkConfig.from_dict(d["config"]),
+            config=NetworkConfig(**d["config"]),
             weights=[np.array(w, dtype=np.float64) for w in d["weights"]],
             biases=[np.array(b, dtype=np.float64) for b in d["biases"]],
         )

@@ -56,15 +56,6 @@ class ScenarioConfig:
         if self.covariate_signal < 0 or self.aux_signal < 0:
             raise DomainError("signal strengths must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "q": self.q,
-            "covariate_signal": self.covariate_signal,
-            "aux_signal": self.aux_signal, "base_pi1": self.base_pi1,
-            "alt_mean": self.alt_mean, "alt_sd": self.alt_sd,
-            "seed": self.seed,
-        }
-
 
 def scenario_config(name: str, seed: int = 0, **overrides) -> ScenarioConfig:
     """Build a named preset; extra keyword arguments override its fields."""

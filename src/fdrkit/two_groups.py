@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -232,21 +232,12 @@ class TrainingConfig:
         if self.adjust_mode not in ("mean", "sample"):
             raise DomainError(f"unknown adjust_mode {self.adjust_mode!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "lr": self.lr, "epochs": self.epochs, "batch_size": self.batch_size,
-            "weight_decay": self.weight_decay, "momentum": self.momentum,
-            "val_fraction": self.val_fraction, "patience": self.patience,
-            "lambda_grid_size": self.lambda_grid_size, "seed": self.seed,
-            "standardize": self.standardize, "apply_stage2": self.apply_stage2,
-            "adjust_mode": self.adjust_mode, "f0_loc": self.f0_loc,
-            "f0_scale": self.f0_scale, "f1_kernel_sd": self.f1_kernel_sd,
-            "f1_sweeps": self.f1_sweeps,
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainingConfig":
-        return cls(**d)
+def _net_input(variant: str, table: HypothesisTable) -> np.ndarray:
+    """Network input rows: ``X`` for neurt_a, ``[X, Xa]`` for neurt_b."""
+    if variant == "neurt_a":
+        return table.X
+    return np.hstack((table.X, table.Xa))
 
 
 @dataclass
@@ -269,9 +260,7 @@ class FittedModel:
     q: int
 
     def net_input(self, table: HypothesisTable) -> np.ndarray:
-        if self.variant == "neurt_a":
-            return table.X
-        return np.hstack((table.X, table.Xa))
+        return _net_input(self.variant, table)
 
     def to_dict(self) -> dict:
         return {
@@ -346,7 +335,8 @@ def _full_nll(params, X, f0z, f1z, grid_size, idx):
 
 def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
           variant: str = "neurt_a",
-          net_config: NetworkConfig | None = None) -> FittedModel:
+          hidden_sizes: tuple[int, ...] = NetworkConfig.hidden_sizes,
+          ) -> FittedModel:
     """Fit the covariate-adaptive two-groups model.
 
     Pipeline: estimate the alternative density from all statistics, split
@@ -354,7 +344,9 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
     with momentum on the marginal likelihood of the unadjusted parameter
     pairs (early stopping on validation NLL, best parameters restored),
     then fit the auxiliary regression once on the full table and produce
-    the adjusted parameters. Deterministic given ``config.seed``.
+    the adjusted parameters. ``hidden_sizes`` sets the network's hidden
+    layers. Deterministic given ``config.seed``, from which every seed of
+    the fit (density, split, initialization, batches, adjustment) derives.
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}")
@@ -375,15 +367,10 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
         f0_loc=config.f0_loc, f0_scale=config.f0_scale,
     )
 
-    X_in = work.X if variant == "neurt_a" else np.hstack((work.X, work.Xa))
-    if net_config is None:
-        net_config = NetworkConfig(input_dim=X_in.shape[1], init_seed=s_init)
-    elif net_config.input_dim != X_in.shape[1]:
-        raise ShapeError(
-            f"network expects input_dim {net_config.input_dim}, variant "
-            f"{variant} provides {X_in.shape[1]}"
-        )
-    params = init_network(net_config)
+    X_in = _net_input(variant, work)
+    params = init_network(NetworkConfig(input_dim=X_in.shape[1],
+                                        hidden_sizes=hidden_sizes,
+                                        init_seed=s_init))
 
     f0z = _floored_f0(work.z, config.f0_loc, config.f0_scale)
     f1z = eval_density(f1, work.z)
@@ -454,7 +441,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
         scaling=scaling,
         adjust_mode=config.adjust_mode,
         adjust_seed=s_adjust,
-        train_config=config.to_dict(),
+        train_config=asdict(config),
         train_log={
             "epochs": log_epochs,
             "best_epoch": best_epoch,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from fdrkit import TrainingConfig, load_table, train
 from fdrkit.cli import main
 
 FAST_FIT = ["--epochs", "3", "--batch-size", "128", "--grid-size", "200",
@@ -175,24 +176,23 @@ class TestBenchmark:
                                    str(tmp_path / "b")])
         assert res.exit_code == 2
 
-    def test_parallel_workers_same_aggregate(self, runner, tmp_path):
-        args = ["benchmark", "--scenario", "N", "--methods", "bh,sbh",
-                "--seeds", "0,1", "--alpha", "0.1", "--n", "500"]
-        seq_dir, par_dir = tmp_path / "seq", tmp_path / "par"
-        res = runner.invoke(main, args + ["--out-dir", str(seq_dir)],
-                            env={"FDRKIT_THREADS": "1"})
-        assert res.exit_code == 0, res.output
-        res = runner.invoke(main, args + ["--out-dir", str(par_dir)],
-                            env={"FDRKIT_THREADS": "4"})
-        assert res.exit_code == 0, res.output
-        seq = json.loads((seq_dir / "aggregate.json").read_text())
-        par = json.loads((par_dir / "aggregate.json").read_text())
-        for agg in (seq, par):  # wall time legitimately differs
-            for stats in agg["methods"].values():
-                stats.pop("mean_seconds")
-        assert seq["methods"] == par["methods"]
-        assert (seq_dir / "per_seed.csv").read_text().splitlines()[0] == \
-            (par_dir / "per_seed.csv").read_text().splitlines()[0]
+    def test_reruns_same_outputs(self, runner, tmp_path):
+        args = ["benchmark", "--scenario", "A", "--methods", "bh,sbh,neurt_a",
+                "--seeds", "0,1", "--alpha", "0.1", "--n", "400", *FAST_FIT]
+        outs = []
+        for name in ("first", "second"):
+            out_dir = tmp_path / name
+            res = runner.invoke(main, args + ["--out-dir", str(out_dir)])
+            assert res.exit_code == 0, res.output
+            agg = json.loads((out_dir / "aggregate.json").read_text())
+            del agg["out_dir"]
+            for stats in agg["methods"].values():  # wall time differs
+                del stats["mean_seconds"]
+            per_seed = [ln.rsplit(",", 1)[0] for ln in
+                        (out_dir / "per_seed.csv").read_text().splitlines()]
+            assert per_seed[0] == "method,seed,n,discoveries,fdp,power"
+            outs.append((agg, per_seed))
+        assert outs[0] == outs[1]
 
     def test_histogram_splits_by_truth(self, runner, tmp_path):
         out_dir = tmp_path / "bench2"
@@ -222,3 +222,33 @@ class TestReport:
     def test_missing_aggregate(self, runner, tmp_path):
         res = runner.invoke(main, ["report", "--in", str(tmp_path)])
         assert res.exit_code == 2
+
+
+class TestPinnedOutputs:
+    """Config hashes are pure JSON, so these values hold on any machine."""
+
+    def test_simulate_config_hash(self, runner, tmp_path):
+        _, payload = simulate(runner, tmp_path)
+        assert payload["config_hash"] == "1d4756f776bb"
+
+    def test_fit_hash_and_model_match_library_train(self, runner, tmp_path):
+        table, _ = simulate(runner, tmp_path)
+        cli_model, lib_model = tmp_path / "cli.json", tmp_path / "lib.json"
+        res = runner.invoke(main, ["fit", "--in", str(table), "--variant", "b",
+                                   "--seed", "7", "--out", str(cli_model),
+                                   *FAST_FIT])
+        assert res.exit_code == 0, res.output
+        assert _json_payload(res.output)["config_hash"] == "c0960df09b0b"
+        config = TrainingConfig(seed=7, epochs=3, batch_size=128,
+                                lambda_grid_size=200, f1_sweeps=2)
+        train(load_table(table), config, "neurt_b",
+              hidden_sizes=(16, 16)).save(lib_model)
+        assert cli_model.read_bytes() == lib_model.read_bytes()
+
+    def test_benchmark_config_hash(self, runner, tmp_path):
+        res = runner.invoke(main, ["benchmark", "--scenario", "N", "--methods",
+                                   "sbh,bh", "--seeds", "0:3", "--n", "400",
+                                   "--alpha", "0.2", "--out-dir",
+                                   str(tmp_path / "b")])
+        assert res.exit_code == 0, res.output
+        assert _json_payload(res.output)["config_hash"] == "53d90e414ac9"

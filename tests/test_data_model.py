@@ -109,6 +109,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             t.z[0] = 5.0
 
+    def test_caller_arrays_stay_writeable(self):
+        z, X = np.array([0.5, -1.0]), np.array([[1.0], [2.0]])
+        Xa, h = np.array([[3.0], [4.0]]), np.array([1, 0], dtype=np.int64)
+        before = [a.copy() for a in (z, X, Xa, h)]
+        t = HypothesisTable(z=z, X=X, Xa=Xa, h_truth=h)
+        for arr, orig in zip((z, X, Xa, h), before):
+            assert arr.flags.writeable
+            np.testing.assert_array_equal(arr, orig)
+        z[0], X[0, 0], Xa[0, 0], h[0] = 9.0, 9.0, 9.0, 0
+        assert (t.z[0], t.X[0, 0], t.Xa[0, 0], t.h_truth[0]) == (0.5, 1.0, 3.0, 1)
+
+    def test_scalar_row_is_one_row_table(self):
+        t = HypothesisTable(z=1.5, X=[[1.0]], Xa=None, h_truth=1)
+        assert (t.n, t.z.shape, t.h_truth.shape) == (1, (1,), (1,))
+
 
 class TestStandardize:
     def test_simple_column(self):
