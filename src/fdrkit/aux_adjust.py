@@ -18,6 +18,9 @@ from .errors import DomainError, InsufficientDataError, ShapeError
 CLIP_LO = 1e-3
 CLIP_HI = 1e6
 
+#: how adjusted parameters are formed: conditional mean or one seeded draw
+ADJUST_MODES = ("mean", "sample")
+
 _RIDGE = 1e-8
 
 
@@ -145,7 +148,7 @@ def adjust(fit: RegressionFit, Xa, a_raw, b_raw,
     n = a_raw.shape[0]
     if Xa.shape != (n, fit.q):
         raise ShapeError(f"Xa must be (n, {fit.q}), got {Xa.shape}")
-    if mode not in ("mean", "sample"):
+    if mode not in ADJUST_MODES:
         raise DomainError(f"unknown adjustment mode {mode!r}")
 
     mean = np.column_stack((fit.mu_a + Xa @ fit.delta_a,

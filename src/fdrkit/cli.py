@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import click
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import FdrkitError
 from .prior_net import NetworkConfig
 from .synthetic import SCENARIOS, generate, scenario_config
 from .two_groups import (
+    ADJUST_MODES,
     FittedModel,
     TrainingConfig,
     fdp_power,
@@ -60,6 +61,17 @@ def _config_file_option(f):
         if value:
             with open(value, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
+            accepted = sorted(p.name for p in ctx.command.params
+                              if p.expose_value)
+            if not isinstance(loaded, dict):
+                raise click.UsageError(
+                    f"--config {value} must hold a JSON object; "
+                    f"accepted keys: {accepted}")
+            unknown = sorted(set(loaded) - set(accepted))
+            if unknown:
+                raise click.UsageError(
+                    f"unknown key(s) {unknown} in --config {value}; "
+                    f"accepted keys: {accepted}")
             ctx.default_map = {**(ctx.default_map or {}), **loaded}
         return value
 
@@ -73,6 +85,18 @@ def _config_file_option(f):
 #: training flag name -> TrainingConfig field, where the two differ
 _FIELD_OF_FLAG = {"grid_size": "lambda_grid_size", "stage2": "apply_stage2"}
 _DEFAULTS = TrainingConfig()
+
+
+def _parse_hidden(ctx, param, value) -> tuple[int, ...]:
+    """``--hidden`` text as a tuple of positive layer sizes."""
+    try:
+        sizes = tuple(int(h) for h in str(value).split(","))
+    except ValueError:
+        sizes = ()
+    if not sizes or min(sizes) < 1:
+        raise click.BadParameter(
+            f"{value!r} is not a comma-separated list of positive integers")
+    return sizes
 
 
 def _training_options(f):
@@ -94,11 +118,12 @@ def _training_options(f):
         opt("--grid-size", "Cells in the mixing-weight quadrature."),
         click.option("--hidden", show_default=True,
                      default=",".join(map(str, NetworkConfig.hidden_sizes)),
+                     callback=_parse_hidden,
                      help="Comma-separated hidden layer sizes."),
         opt("--standardize/--no-standardize"),
         opt("--stage2/--no-stage2",
             "Apply the auxiliary-covariate adjustment."),
-        opt("--adjust-mode", type=click.Choice(["mean", "sample"])),
+        opt("--adjust-mode", type=click.Choice(ADJUST_MODES)),
         opt("--f1-sweeps", "Averaging passes of the alternative estimator."),
     ]):
         f = option(f)
@@ -156,7 +181,7 @@ def simulate(scenario, seed, n_override, out):
 @_config_file_option
 def fit(in_path, variant, seed, out, **train_kwargs):
     """Fit the covariate-adaptive model and write it as JSON."""
-    hidden = tuple(int(h) for h in train_kwargs.pop("hidden").split(","))
+    hidden = train_kwargs.pop("hidden")
     try:
         table = load_table(in_path)
         config = _config_of_flags(seed, train_kwargs)
@@ -260,14 +285,14 @@ def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
 
 
 def _benchmark_cell(method, seed, scenario, n_override, alpha, hidden,
-                    train_flags):
+                    config):
     overrides = {"n": n_override} if n_override else {}
     table = generate(scenario_config(scenario, seed=seed, **overrides))
     t0 = time.perf_counter()
     if method in _BASELINES:
         ds = _run_baseline(method, table, alpha)
     else:
-        model = train(table, _config_of_flags(seed, train_flags),
+        model = train(table, replace(config, seed=seed),
                       variant=method, hidden_sizes=hidden)
         ds = select_discoveries(posteriors(model, table), alpha)
     seconds = time.perf_counter() - t0
@@ -330,7 +355,7 @@ def _write_histogram(path, cells, bins):
 def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
               **train_kwargs):
     """Run every (method, seed) cell and aggregate discoveries/FDP/power."""
-    hidden = tuple(int(h) for h in train_kwargs.pop("hidden").split(","))
+    hidden = train_kwargs.pop("hidden")
     method_list = [m for m in (s.strip() for s in methods.split(",")) if m]
     seed_list = _parse_seeds(seeds)
     if not method_list:
@@ -345,6 +370,7 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
             )
     try:
         scenario_config(scenario)
+        config = _config_of_flags(0, train_kwargs)
     except FdrkitError as e:
         raise click.UsageError(str(e))
 
@@ -355,7 +381,7 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
             for s in seed_list:
                 _log(f"running {m} seed={s}")
                 results[(m, s)] = _benchmark_cell(
-                    m, s, scenario, n_override, alpha, hidden, train_kwargs)
+                    m, s, scenario, n_override, alpha, hidden, config)
     except FdrkitError as e:
         raise click.ClickException(str(e))
 

@@ -6,6 +6,12 @@ update: a Gaussian location kernel is mixed over a latent grid, and the
 kernel mixing weights together with the alternative mass are updated one
 observation at a time with a decaying learning weight. Several passes
 over independently shuffled data are averaged to remove order dependence.
+
+The passes run side by side: step ``t`` updates every pass at once, with
+the cell masses held as a ``(sweeps, grid)`` array. The update is the
+multiplicative form of the recursion, ``mass <- mass * (alpha + beta *
+kern)``, which equals the textbook ``((1-w) pi1 mass + w joint / denom) /
+pi1_new`` up to rounding and needs a few whole-array passes per step.
 """
 
 from __future__ import annotations
@@ -124,6 +130,10 @@ class RecursionConfig:
     init_pi1: float = 0.1
     kernel_sd: float = 1.0
 
+    def __post_init__(self):
+        if self.sweeps < 1 or not self.kernel_sd > 0:
+            raise DomainError("sweeps must be >= 1 and kernel_sd positive")
+
 
 def _normalize(values: np.ndarray, step: float) -> np.ndarray:
     total = trapezoid_mass(values, step)
@@ -145,7 +155,8 @@ def estimate_alternative(
     Runs ``config.sweeps`` single-pass recursions, each over an
     independently shuffled copy of the data with step weights
     ``(t+1)**-decay``, and averages the resulting density and mass
-    estimates. Deterministic given ``seed``.
+    estimates. The passes advance together, one step over all of them at
+    a time. Deterministic given ``seed``.
 
     Returns
     -------
@@ -172,36 +183,52 @@ def estimate_alternative(
 
     f0_at_z = null_pdf(z, loc=f0_loc, scale=f0_scale)
     kern_norm = 1.0 / (config.kernel_sd * math.sqrt(2.0 * math.pi))
+    expo = -0.5 / config.kernel_sd ** 2
 
     rng = np.random.default_rng(seed)
     t_weights = (np.arange(1, n + 1) + 1.0) ** (-config.weight_decay_exponent)
 
+    # one shuffled order per pass, drawn in pass order; row t holds the
+    # z-value (and its null density) that each pass visits at step t
+    sweeps = config.sweeps
+    orders = np.array([rng.permutation(n) for _ in range(sweeps)])
+    z_steps = np.ascontiguousarray(z[orders].T)
+    f0_steps = np.ascontiguousarray(f0_at_z[orders].T)
+
+    # unnormalized within-alternative cell masses, from a uniform guess
+    q = np.full(m, 1.0 / (grid.hi - grid.lo))
+    mass = np.tile(q * trapw, (sweeps, 1))
+    pi1 = np.full(sweeps, config.init_pi1)
+    kern = np.empty((sweeps, m))  # unnormalized kernel, then the update factor
+    kern_dot_mass = np.empty(sweeps)
+    for t in range(n):
+        w = t_weights[t]
+        np.subtract(z_steps[t][:, None], u, out=kern)
+        np.multiply(kern, kern, out=kern)
+        np.multiply(kern, expo, out=kern)
+        np.exp(kern, out=kern)
+        np.einsum("ij,ij->i", kern, mass, out=kern_dot_mass)
+        f1_at_z = (kern_norm * pi1) * kern_dot_mass
+        denom = (1.0 - pi1) * f0_steps[t] + f1_at_z
+        pi1_new = (1.0 - w) * pi1 + w * (f1_at_z / denom)
+        alpha = (1.0 - w) * pi1 / pi1_new
+        beta = (w * kern_norm) * pi1 / (denom * pi1_new)
+        np.multiply(kern, beta[:, None], out=kern)
+        np.add(kern, alpha[:, None], out=kern)
+        np.multiply(mass, kern, out=mass)
+        pi1 = pi1_new
+
+    # smooth the located masses back onto the z-grid through the kernel
+    half = int(math.ceil(8.0 * config.kernel_sd / grid.step))
+    taps = kern_norm * np.exp(
+        -0.5 * (np.arange(-half, half + 1) * grid.step / config.kernel_sd) ** 2
+    )
     acc_density = np.zeros(m)
     acc_pi1 = 0.0
-    for _ in range(config.sweeps):
-        order = rng.permutation(n)
-        q = np.full(m, 1.0 / (grid.hi - grid.lo))  # uniform initial guess
-        pi1 = config.init_pi1
-        mass = q * trapw  # unnormalized within-alternative cell masses
-        for t, idx in enumerate(order):
-            d = (z[idx] - u) / config.kernel_sd
-            kern = kern_norm * np.exp(-0.5 * d * d)
-            joint = pi1 * kern * mass  # cellwise alt contribution to the mixture
-            f1_at_z = joint.sum()
-            denom = (1.0 - pi1) * f0_at_z[idx] + f1_at_z
-            w = t_weights[t]
-            post_alt = f1_at_z / denom
-            pi1_new = (1.0 - w) * pi1 + w * post_alt
-            mass = ((1.0 - w) * pi1 * mass + w * joint / denom) / pi1_new
-            pi1 = pi1_new
-        # smooth the located masses back onto the z-grid through the kernel
-        half = int(math.ceil(8.0 * config.kernel_sd / grid.step))
-        taps = kern_norm * np.exp(
-            -0.5 * (np.arange(-half, half + 1) * grid.step / config.kernel_sd) ** 2
-        )
-        dens = np.convolve(mass, taps, mode="same")
+    for s in range(sweeps):
+        dens = np.convolve(mass[s], taps, mode="same")
         acc_density += _normalize(dens, grid.step)
-        acc_pi1 += pi1
+        acc_pi1 += pi1[s]
 
     f1 = _normalize(acc_density / config.sweeps, grid.step)
     pi1_hat = min(max(acc_pi1 / config.sweeps, 0.0), 1.0)

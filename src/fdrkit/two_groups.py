@@ -26,7 +26,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aux_adjust import BetaParams, RegressionFit, adjust, fit_bivariate_ols
+from .aux_adjust import (
+    ADJUST_MODES,
+    BetaParams,
+    RegressionFit,
+    adjust,
+    fit_bivariate_ols,
+)
 from .baselines import DiscoverySet
 from .data_model import CovariateScaling, HypothesisTable, standardize_covariates
 from .densities import (
@@ -229,7 +235,7 @@ class TrainingConfig:
             raise DomainError("invalid val_fraction or patience")
         if self.lambda_grid_size < 2 or self.f0_scale <= 0:
             raise DomainError("invalid lambda_grid_size or f0_scale")
-        if self.adjust_mode not in ("mean", "sample"):
+        if self.adjust_mode not in ADJUST_MODES:
             raise DomainError(f"unknown adjust_mode {self.adjust_mode!r}")
 
 

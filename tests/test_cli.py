@@ -81,6 +81,17 @@ class TestFit:
         assert "skipped" in res.output
 
 
+    @pytest.mark.parametrize("hidden", ["8,x", "8,0", "-4", ""])
+    def test_bad_hidden_usage_error(self, runner, tmp_path, hidden):
+        table, _ = simulate(runner, tmp_path)
+        res = runner.invoke(main, ["fit", "--in", str(table), "--out",
+                                   str(tmp_path / "m.json"), "--hidden",
+                                   hidden])
+        assert res.exit_code == 2, res.output
+        assert "--hidden" in res.output and "positive integers" in res.output
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestDiscover:
     def test_bh_on_null_z(self, runner, tmp_path):
         path = tmp_path / "null.csv"
@@ -143,6 +154,26 @@ class TestConfigPrecedence:
         assert saved["train_config"]["epochs"] == 1        # flag beats file
         assert saved["train_config"]["lambda_grid_size"] == 150  # file beats default
 
+    def test_unknown_key_usage_error(self, runner, tmp_path):
+        table, _ = simulate(runner, tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"grid-size": 5, "epochs": 2}))
+        res = runner.invoke(main, ["fit", "--in", str(table), "--out",
+                                   str(tmp_path / "m.json"), "--config",
+                                   str(cfg_path)])
+        assert res.exit_code == 2, res.output
+        assert "unknown key(s) ['grid-size']" in res.output
+        assert "'grid_size'" in res.output and "'in_path'" in res.output
+        assert not (tmp_path / "m.json").exists()
+
+    def test_non_object_config_usage_error(self, runner, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        res = runner.invoke(main, ["simulate", "--out", str(tmp_path / "t.csv"),
+                                   "--config", str(cfg_path)])
+        assert res.exit_code == 2, res.output
+        assert "JSON object" in res.output
+
 
 class TestBenchmark:
     def test_single_cell_matches_run_report(self, runner, tmp_path):
@@ -175,6 +206,28 @@ class TestBenchmark:
                                    "--seeds", "0", "--out-dir",
                                    str(tmp_path / "b")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("hidden", ["8,x", "0"])
+    def test_bad_hidden_usage_error(self, runner, tmp_path, hidden):
+        out_dir = tmp_path / "b"
+        res = runner.invoke(main, ["benchmark", "--methods", "neurt_a",
+                                   "--seeds", "0", "--hidden", hidden,
+                                   "--out-dir", str(out_dir)])
+        assert res.exit_code == 2, res.output
+        assert "--hidden" in res.output and "positive integers" in res.output
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("methods", ["bh", "neurt_a"])
+    def test_invalid_training_flag_rejected_up_front(self, runner, tmp_path,
+                                                     methods):
+        out_dir = tmp_path / "b"
+        res = runner.invoke(main, ["benchmark", "--methods", methods,
+                                   "--seeds", "0", "--n", "400", "--lr", "-1",
+                                   "--out-dir", str(out_dir)])
+        assert res.exit_code == 2, res.output
+        assert "lr, epochs and batch_size must be positive" in res.output
+        assert "running" not in res.output
+        assert not out_dir.exists()
 
     def test_reruns_same_outputs(self, runner, tmp_path):
         args = ["benchmark", "--scenario", "A", "--methods", "bh,sbh,neurt_a",
