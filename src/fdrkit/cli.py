@@ -115,7 +115,8 @@ def _training_options(f):
         opt("--momentum"),
         opt("--val-fraction"),
         opt("--patience"),
-        opt("--grid-size", "Cells in the mixing-weight quadrature."),
+        opt("--grid-size",
+            "Cells in the posterior's mixing-weight quadrature."),
         click.option("--hidden", show_default=True,
                      default=",".join(map(str, NetworkConfig.hidden_sizes)),
                      callback=_parse_hidden,
@@ -183,8 +184,11 @@ def fit(in_path, variant, seed, out, **train_kwargs):
     """Fit the covariate-adaptive model and write it as JSON."""
     hidden = train_kwargs.pop("hidden")
     try:
-        table = load_table(in_path)
         config = _config_of_flags(seed, train_kwargs)
+    except FdrkitError as e:
+        raise click.UsageError(str(e))
+    try:
+        table = load_table(in_path)
         if table.q == 0:
             _log("warning: table has no auxiliary columns; "
                  "the Stage II adjustment will be skipped")

@@ -144,7 +144,7 @@ def test_criterion_03_gradient_check():
         wd = float(rng.uniform(0.0, 1e-3))
 
         def loss_fn(p):
-            loss, grads, _ = _loss_and_grads(p, X, f0z, f1z, wd, 400)
+            loss, grads, _ = _loss_and_grads(p, X, f0z, f1z, wd)
             return loss, grads
 
         worst = max(worst, grad_check(params, loss_fn, h=1e-5))

@@ -91,6 +91,14 @@ class TestFit:
         assert "--hidden" in res.output and "positive integers" in res.output
         assert not (tmp_path / "m.json").exists()
 
+    def test_invalid_training_flag_usage_error(self, runner, tmp_path):
+        table, _ = simulate(runner, tmp_path)
+        res = runner.invoke(main, ["fit", "--in", str(table), "--out",
+                                   str(tmp_path / "m.json"), "--lr", "-1"])
+        assert res.exit_code == 2, res.output
+        assert "lr, epochs and batch_size must be positive" in res.output
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestDiscover:
     def test_bh_on_null_z(self, runner, tmp_path):

@@ -1,9 +1,10 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from fdrkit import (
     DegenerateInputError,
@@ -24,8 +25,9 @@ from fdrkit import (
     select_discoveries,
     train,
 )
+from fdrkit.densities import DENSITY_FLOOR
 from fdrkit.prior_net import grad_check
-from fdrkit.two_groups import _loss_and_grads
+from fdrkit.two_groups import _loss_and_grads, _nll_terms
 
 SMALL_TRAIN = dict(epochs=5, batch_size=64, lambda_grid_size=300,
                    f1_sweeps=3, patience=5)
@@ -33,6 +35,39 @@ SMALL_TRAIN = dict(epochs=5, batch_size=64, lambda_grid_size=300,
 
 def closed_form(a, b, f0z, f1z):
     return (a / (a + b)) * f1z + (b / (a + b)) * f0z
+
+
+def beta_quadrature(a, b, f0z, f1z):
+    """Adaptive quadrature of the mixture likelihood over Beta(a, b).
+
+    The interval is split at 1/2 so that each endpoint power below zero
+    goes into quad's algebraic weight, which QUADPACK integrates with
+    modified Chebyshev moments; the remaining smooth factor is evaluated
+    in log space.
+    """
+    log_beta = special.betaln(a, b)
+    sing_a, sing_b = min(a - 1.0, 0.0), min(b - 1.0, 0.0)
+
+    def piece(pow_a, pow_b):
+        def integrand(lam):
+            return (lam * f1z + (1.0 - lam) * f0z) * math.exp(
+                special.xlogy(pow_a, lam) + special.xlogy(pow_b, 1.0 - lam)
+                - log_beta)
+        return integrand
+
+    left, _ = integrate.quad(piece(a - 1.0 - sing_a, b - 1.0), 0.0, 0.5,
+                             weight="alg", wvar=(sing_a, 0.0), limit=200,
+                             epsabs=0.0, epsrel=1e-12)
+    right, _ = integrate.quad(piece(a - 1.0, b - 1.0 - sing_b), 0.5, 1.0,
+                              weight="alg", wvar=(0.0, sing_b), limit=200,
+                              epsabs=0.0, epsrel=1e-12)
+    return left + right
+
+
+#: (a, b) corners and (f0, f1) pairs with f1/f0 in {1e-9, 1, 1e9}
+ORACLE_AB = (1e-3, 0.5, 1.0, 30.0, 1e3)
+ORACLE_DENSITIES = ((0.1, 1e-10), (0.3, 0.3), (DENSITY_FLOOR, DENSITY_FLOOR),
+                    (DENSITY_FLOOR, 0.1))
 
 
 class TestMarginalLikelihood:
@@ -56,23 +91,46 @@ class TestMarginalLikelihood:
         assert got == pytest.approx(closed_form(1e4, 1.0, 0.4, 0.2), rel=1e-3)
         assert got == pytest.approx(0.2, rel=1e-3)
 
+    def test_matches_beta_quadrature(self):
+        for a, b in itertools.product(ORACLE_AB, ORACLE_AB):
+            for f0z, f1z in ORACLE_DENSITIES:
+                assert marginal_likelihood(a, b, f0z, f1z) == pytest.approx(
+                    beta_quadrature(a, b, f0z, f1z), rel=1e-9, abs=0.0
+                ), (a, b, f0z, f1z)
+
+    def test_huge_parameters_stay_finite(self):
+        # (a + b)^2 overflows here; the likelihood and its derivatives
+        # must not (RuntimeWarnings are errors under pytest)
+        assert marginal_likelihood(1e200, 1.0, 0.4, 0.2) == pytest.approx(
+            0.2, rel=1e-12)
+        terms = _nll_terms(*(np.array([v]) for v in (1e155, 1e155, 0.4, 0.2)))
+        assert all(np.isfinite(t).all() for t in terms)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             marginal_likelihood(0.0, 1.0, 0.4, 0.2)
         with pytest.raises(DomainError):
             marginal_likelihood(1.0, 1.0, -0.1, 0.2)
+        valid = (2.0, 1.0, 0.1, 0.2)
+        for fn in (marginal_likelihood, posterior_alt):
+            for slot in range(4):
+                for bad in (np.nan, np.inf):
+                    args = list(valid)
+                    args[slot] = bad
+                    with pytest.raises(DomainError, match="finite"):
+                        fn(*args)
 
 
 class TestPosteriorAlt:
     def test_equal_densities_give_prior_mean(self):
         rng = np.random.default_rng(23)
-        for _ in range(200):
-            a = rng.uniform(0.5, 100)
-            b = rng.uniform(0.5, 100)
-            f = rng.uniform(1e-6, 1)
-            assert posterior_alt(a, b, f, f) == pytest.approx(
-                a / (a + b), abs=1e-6
-            )
+        for grid_size in (500, 1000):
+            for _ in range(200):
+                a, b = np.exp(rng.uniform(math.log(0.5), math.log(1e3),
+                                          size=2))
+                f = rng.uniform(1e-6, 1)
+                assert posterior_alt(a, b, f, f, grid_size=grid_size) == (
+                    pytest.approx(a / (a + b), abs=1e-6))
 
     def test_zero_null_density(self):
         assert posterior_alt(2.0, 3.0, 0.0, 0.7) == pytest.approx(1.0, abs=1e-12)
@@ -188,10 +246,32 @@ class TestGradient:
         wd = float(rng.uniform(0, 1e-3))
 
         def loss_fn(p):
-            loss, grads, _ = _loss_and_grads(p, X, f0z, f1z, wd, 300)
+            loss, grads, _ = _loss_and_grads(p, X, f0z, f1z, wd)
             return loss, grads
 
         assert grad_check(params, loss_fn, h=1e-5) <= 1e-4
+
+    def test_ab_derivatives_match_central_differences(self):
+        eps = np.finfo(float).eps
+
+        def terms(a, b, f0z, f1z):
+            return [t[0] for t in _nll_terms(
+                *(np.array([v]) for v in (a, b, f0z, f1z)))]
+
+        for a, b in itertools.product(ORACLE_AB, ORACLE_AB):
+            for f0z, f1z in ORACLE_DENSITIES:
+                nll, dn_da, dn_db, _ = terms(a, b, f0z, f1z)
+                ha, hb = 1e-5 * a, 1e-5 * b
+                num_a = (terms(a + ha, b, f0z, f1z)[0]
+                         - terms(a - ha, b, f0z, f1z)[0]) / (2.0 * ha)
+                num_b = (terms(a, b + hb, f0z, f1z)[0]
+                         - terms(a, b - hb, f0z, f1z)[0]) / (2.0 * hb)
+                for analytic, numeric, h in ((dn_da, num_a, ha),
+                                             (dn_db, num_b, hb)):
+                    # rounding floor of the difference quotient
+                    floor = 8.0 * eps * max(abs(nll), 1.0) / h
+                    assert abs(numeric - analytic) <= (
+                        1e-6 * abs(analytic) + floor), (a, b, f0z, f1z)
 
 
 class TestSelectDiscoveries:
@@ -306,6 +386,16 @@ class TestTrain:
         assert model.regression is None
         w = posteriors(model, table)
         assert w.shape == (table.n,)
+
+    def test_grid_size_does_not_change_training(self):
+        table = generate(scenario_config("A", seed=8, n=300))
+        fits = [train(table, TrainingConfig(seed=8, epochs=3, f1_sweeps=2,
+                                            lambda_grid_size=gs),
+                      variant="neurt_b")
+                for gs in (200, 500)]
+        first, second = (m.to_dict() for m in fits)
+        for key in ("network", "train_log", "regression"):
+            assert first[key] == second[key]
 
     def test_unknown_variant(self, small_fit):
         table, config, _ = small_fit
