@@ -401,18 +401,13 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
     aggregate = {}
     for m in method_list:
         rows = [results[(m, s)] for s in sorted(seed_list)]
-        aggregate[m] = {
-            "mean_discoveries": float(np.mean([r["discoveries"] for r in rows])),
-            "sd_discoveries": float(np.std([r["discoveries"] for r in rows], ddof=1))
-            if len(rows) > 1 else 0.0,
-            "mean_fdp": float(np.mean([r["fdp"] for r in rows])),
-            "sd_fdp": float(np.std([r["fdp"] for r in rows], ddof=1))
-            if len(rows) > 1 else 0.0,
-            "mean_power": float(np.mean([r["power"] for r in rows])),
-            "sd_power": float(np.std([r["power"] for r in rows], ddof=1))
-            if len(rows) > 1 else 0.0,
-            "mean_seconds": float(np.mean([r["seconds"] for r in rows])),
-        }
+        stats = {"mean_seconds": float(np.mean([r["seconds"] for r in rows]))}
+        for key in ("discoveries", "fdp", "power"):
+            values = [r[key] for r in rows]
+            stats[f"mean_{key}"] = float(np.mean(values))
+            stats[f"sd_{key}"] = (float(np.std(values, ddof=1))
+                                  if len(rows) > 1 else 0.0)
+        aggregate[m] = stats
         _write_histogram(os.path.join(out_dir, f"hist_{m}.csv"), rows, bins)
 
     payload = {

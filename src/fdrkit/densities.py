@@ -100,17 +100,15 @@ def null_pdf(z, loc: float = 0.0, scale: float = 1.0):
     return out if out.ndim else float(out)
 
 
-def eval_density(d: GridDensity, z, floor: float = DENSITY_FLOOR):
-    """Linear interpolation on the grid, floored at ``floor``.
+def eval_density(d: GridDensity, z):
+    """Linear interpolation on the grid, floored at ``DENSITY_FLOOR``.
 
     Outside [lo, hi] the floor is returned, so downstream log-likelihoods
     stay finite.
     """
-    if floor <= 0:
-        raise DomainError("density floor must be positive")
     z = np.asarray(z, dtype=np.float64)
     out = np.interp(z, d.grid, d.values, left=0.0, right=0.0)
-    out = np.maximum(out, floor)
+    out = np.maximum(out, DENSITY_FLOOR)
     return out if out.ndim else float(out)
 
 

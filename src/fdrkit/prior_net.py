@@ -5,6 +5,9 @@ positive floor, so the emitted pair is always a valid Beta
 parameterization. Forward, reverse-mode gradients and a finite-difference
 checker are implemented directly on numpy arrays; training never needs a
 framework.
+
+``backward`` takes the cache that ``_forward_cached`` returned for the
+same batch instead of recomputing it, so an SGD step runs forward once.
 """
 
 from __future__ import annotations
@@ -68,15 +71,12 @@ class NetworkParams:
             biases=[b.copy() for b in self.biases],
         )
 
-    def zeros_like(self) -> "NetworkParams":
-        return NetworkParams(
-            config=self.config,
-            weights=[np.zeros_like(w) for w in self.weights],
-            biases=[np.zeros_like(b) for b in self.biases],
-        )
-
     def n_parameters(self) -> int:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
+
+    def weight_norm2(self) -> float:
+        """Squared norm of all weight matrices (biases excluded)."""
+        return sum(float((w ** 2).sum()) for w in self.weights)
 
     def arrays(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases]
@@ -134,7 +134,10 @@ def _as_batch(params: NetworkParams, x) -> tuple[np.ndarray, bool]:
 
 
 def _forward_cached(params: NetworkParams, X: np.ndarray):
-    """Forward pass keeping pre-activations for reverse mode."""
+    """Forward pass returning ``(a, b, cache)``, the cache for ``backward``.
+
+    ``cache`` is ``(pre, acts)``: each layer's pre-activation and input.
+    """
     h = X
     pre = []
     acts = [X]
@@ -165,13 +168,15 @@ def forward(params: NetworkParams, x):
     return a, b
 
 
-def backward(params: NetworkParams, x, grad_a, grad_b) -> NetworkParams:
+def backward(params: NetworkParams, x, grad_a, grad_b, cache) -> NetworkParams:
     """Mean-over-batch gradient of ``sum_i upstream_i . outputs_i``.
 
     ``grad_a``/``grad_b`` are d(loss)/d(a_i), d(loss)/d(b_i) per batch
     row; the returned structure matches ``params`` and holds
     mean_i upstream_i * d(outputs_i)/d(theta), i.e. the gradient of a
     mean-reduced loss when the upstream terms are per-example.
+    ``cache`` is what ``_forward_cached(params, x)`` returned for this
+    batch; a cache built from other rows raises ``ShapeError``.
     """
     X, _ = _as_batch(params, x)
     ga = np.asarray(grad_a, dtype=np.float64).ravel()
@@ -180,20 +185,23 @@ def backward(params: NetworkParams, x, grad_a, grad_b) -> NetworkParams:
         raise ShapeError("upstream gradient length must match the batch")
     if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
         raise NumericError("non-finite upstream gradient")
+    pre, acts = cache
+    if not np.array_equal(acts[0], X):
+        raise ShapeError("forward cache was built from a different batch")
 
-    a, b, (pre, acts) = _forward_cached(params, X)
     B = X.shape[0]
     out = pre[-1]
     # d softplus(u)/du = sigmoid(u); the floor is an additive constant
     delta = np.column_stack((ga * expit(out[:, 0]), gb * expit(out[:, 1])))
 
-    grads = params.zeros_like()
-    for layer in range(len(params.weights) - 1, -1, -1):
-        grads.weights[layer] = acts[layer].T @ delta / B
-        grads.biases[layer] = delta.mean(axis=0)
+    n_layers = len(params.weights)
+    weights, biases = [None] * n_layers, [None] * n_layers
+    for layer in range(n_layers - 1, -1, -1):
+        weights[layer] = acts[layer].T @ delta / B
+        biases[layer] = delta.mean(axis=0)
         if layer > 0:
             delta = (delta @ params.weights[layer].T) * (pre[layer - 1] > 0.0)
-    return grads
+    return NetworkParams(config=params.config, weights=weights, biases=biases)
 
 
 def grad_check(params: NetworkParams, loss_fn, h: float = 1e-5,

@@ -161,7 +161,7 @@ def _nll_terms(a, b, f0z, f1z):
 
 
 def nll_loss(params: NetworkParams, inputs, f0z, f1z, *,
-             weight_decay: float = 0.0, ids=None) -> float:
+             weight_decay: float = 0.0) -> float:
     """Mean negative log marginal likelihood plus the weight penalty.
 
     ``inputs`` are network inputs for the batch rows; ``f0z``/``f1z`` the
@@ -181,22 +181,18 @@ def nll_loss(params: NetworkParams, inputs, f0z, f1z, *,
     nll = _nll_terms(a, b, f0z, f1z)[0]
     if not np.all(np.isfinite(nll)):
         bad = int(np.flatnonzero(~np.isfinite(nll))[0])
-        label = ids[bad] if ids is not None else str(bad)
-        raise NumericError(f"non-finite likelihood for test id {label}")
-    penalty = weight_decay * sum(float((W ** 2).sum()) for W in params.weights)
-    return float(nll.mean() + penalty)
+        raise NumericError(f"non-finite likelihood at batch row {bad}")
+    return float(nll.mean() + weight_decay * params.weight_norm2())
 
 
 def _loss_and_grads(params: NetworkParams, X, f0z, f1z, weight_decay: float):
     """Loss plus its exact gradient."""
-    a, b, _ = _forward_cached(params, X)
+    a, b, cache = _forward_cached(params, X)
     nll, dn_da, dn_db, _ = _nll_terms(a, b, f0z, f1z)
-    grads = backward(params, X, dn_da, dn_db)
-    penalty = 0.0
-    for layer, W in enumerate(params.weights):
-        penalty += float((W ** 2).sum())
-        grads.weights[layer] += 2.0 * weight_decay * W
-    loss = float(nll.mean()) + weight_decay * penalty
+    grads = backward(params, X, dn_da, dn_db, cache)
+    for g, W in zip(grads.weights, params.weights):
+        g += 2.0 * weight_decay * W
+    loss = float(nll.mean()) + weight_decay * params.weight_norm2()
     return loss, grads, float(nll.mean())
 
 
@@ -259,9 +255,6 @@ class FittedModel:
     train_log: dict
     k: int
     q: int
-
-    def net_input(self, table: HypothesisTable) -> np.ndarray:
-        return _net_input(self.variant, table)
 
     def to_dict(self) -> dict:
         return {
@@ -383,7 +376,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
     log_epochs = [{"epoch": 0, "train_nll": train_nll, "val_nll": val_nll}]
     best_val, best_epoch, best_params = val_nll, 0, params.copy()
 
-    velocity = params.zeros_like()
+    velocity = [np.zeros_like(arr) for arr in params.arrays()]
     rng_batch = np.random.default_rng(s_batch)
     stall = 0
     for epoch in range(1, config.epochs + 1):
@@ -400,8 +393,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
                     f"non-finite loss at epoch {epoch}, "
                     f"batch {start // config.batch_size}"
                 )
-            for v, g, arr in zip(velocity.arrays(), grads.arrays(),
-                                 params.arrays()):
+            for v, g, arr in zip(velocity, grads.arrays(), params.arrays()):
                 v *= config.momentum
                 v -= config.lr * g
                 arr += v
@@ -456,7 +448,7 @@ def beta_params_for(model: FittedModel, table: HypothesisTable) -> BetaParams:
             f"(k={model.k}, q={model.q})"
         )
     work = model.scaling.apply(table) if model.scaling is not None else table
-    a_raw, b_raw = forward(model.net_params, model.net_input(work))
+    a_raw, b_raw = forward(model.net_params, _net_input(model.variant, work))
     a_raw, b_raw = np.atleast_1d(a_raw), np.atleast_1d(b_raw)
     if model.regression is None:
         return BetaParams(a=a_raw, b=b_raw, a_raw=a_raw, b_raw=b_raw)

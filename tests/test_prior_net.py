@@ -15,6 +15,7 @@ from fdrkit import (
     init_network,
     softplus,
 )
+from fdrkit.prior_net import _forward_cached
 
 
 def zero_params(input_dim=3, hidden=(4,), floor=1e-3):
@@ -103,9 +104,9 @@ def _upstream_loss(X, ga, gb):
     """Scalar objective whose exact gradient ``backward`` returns."""
 
     def loss_fn(params):
-        a, b = forward(params, X)
+        a, b, cache = _forward_cached(params, X)
         loss = float(np.mean(ga * a + gb * b))
-        return loss, backward(params, X, ga, gb)
+        return loss, backward(params, X, ga, gb, cache)
 
     return loss_fn
 
@@ -115,7 +116,7 @@ class TestBackward:
         rng = np.random.default_rng(0)
         p = init_network(NetworkConfig(input_dim=4, hidden_sizes=(6,)), seed=1)
         X = rng.standard_normal((8, 4))
-        g = backward(p, X, np.zeros(8), np.zeros(8))
+        g = backward(p, X, np.zeros(8), np.zeros(8), _forward_cached(p, X)[2])
         assert all(np.all(arr == 0) for arr in g.arrays())
 
     def test_hand_computed_single_unit(self):
@@ -130,7 +131,9 @@ class TestBackward:
         ua, ub = w2a * h, w2b * h
         sa, sb = 1 / (1 + math.exp(-ua)), 1 / (1 + math.exp(-ub))
         ga, gb = 0.9, -0.3
-        g = backward(p, np.array([[x]]), np.array([ga]), np.array([gb]))
+        X = np.array([[x]])
+        g = backward(p, X, np.array([ga]), np.array([gb]),
+                     _forward_cached(p, X)[2])
         # output layer weights: d loss/d w2a = ga*sigmoid(ua)*h
         np.testing.assert_allclose(g.weights[1][0, 0], ga * sa * h, rtol=1e-12)
         np.testing.assert_allclose(g.weights[1][0, 1], gb * sb * h, rtol=1e-12)
@@ -141,8 +144,19 @@ class TestBackward:
 
     def test_nonfinite_upstream_rejected(self):
         p = zero_params()
+        X = np.zeros((1, 3))
         with pytest.raises(NumericError):
-            backward(p, np.zeros((1, 3)), np.array([np.nan]), np.array([0.0]))
+            backward(p, X, np.array([np.nan]), np.array([0.0]),
+                     _forward_cached(p, X)[2])
+
+    def test_cache_from_other_batch_rejected(self):
+        rng = np.random.default_rng(3)
+        p = init_network(NetworkConfig(input_dim=3, hidden_sizes=(4,)), seed=2)
+        X = rng.standard_normal((5, 3))
+        ga, gb = rng.standard_normal(5), rng.standard_normal(5)
+        for other in (X + 1.0, X[:4], X[::-1]):
+            with pytest.raises(ShapeError):
+                backward(p, X, ga, gb, _forward_cached(p, other)[2])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_finite_differences(self, seed):

@@ -10,6 +10,7 @@ from fdrkit import (
     DegenerateInputError,
     DomainError,
     NetworkConfig,
+    NumericError,
     ShapeError,
     TrainingConfig,
     FittedModel,
@@ -25,6 +26,7 @@ from fdrkit import (
     select_discoveries,
     train,
 )
+from fdrkit import prior_net, two_groups
 from fdrkit.densities import DENSITY_FLOOR
 from fdrkit.prior_net import grad_check
 from fdrkit.two_groups import _loss_and_grads, _nll_terms
@@ -224,6 +226,11 @@ class TestNllLoss:
         with pytest.raises(DomainError):
             nll_loss(params, np.zeros((0, 2)), [], [])
 
+    def test_nonfinite_likelihood_names_batch_row(self):
+        params = init_network(NetworkConfig(input_dim=2, hidden_sizes=(3,)))
+        with pytest.raises(NumericError, match="batch row 1"):
+            nll_loss(params, np.zeros((3, 2)), [1.0, np.nan, 1.0], [1.0] * 3)
+
 
 class TestGradient:
     @pytest.mark.parametrize("seed", range(8))
@@ -272,6 +279,49 @@ class TestGradient:
                     floor = 8.0 * eps * max(abs(nll), 1.0) / h
                     assert abs(numeric - analytic) <= (
                         1e-6 * abs(analytic) + floor), (a, b, f0z, f1z)
+
+
+class TestOneForwardPass:
+    """Every SGD step runs the network forward exactly once."""
+
+    @pytest.fixture
+    def forward_calls(self, monkeypatch):
+        """Count ``_forward_cached`` calls under both module names."""
+        calls = []
+        raw = prior_net._forward_cached
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(prior_net, "_forward_cached", counting)
+        monkeypatch.setattr(two_groups, "_forward_cached", counting)
+        return calls
+
+    def test_one_call_per_loss_and_grads(self, forward_calls):
+        rng = np.random.default_rng(0)
+        params = init_network(NetworkConfig(input_dim=3, hidden_sizes=(5, 4)))
+        X = rng.standard_normal((16, 3))
+        f = rng.uniform(0.05, 0.5, size=(2, 16))
+        for _ in range(3):
+            _loss_and_grads(params, X, f[0], f[1], 1e-4)
+        assert len(forward_calls) == 3
+
+    def test_one_call_per_training_batch(self, forward_calls, monkeypatch):
+        per_batch = []
+        raw_step = two_groups._loss_and_grads
+
+        def step(*args, **kwargs):
+            before = len(forward_calls)
+            result = raw_step(*args, **kwargs)
+            per_batch.append(len(forward_calls) - before)
+            return result
+
+        monkeypatch.setattr(two_groups, "_loss_and_grads", step)
+        table = generate(scenario_config("A", seed=6, n=300))
+        train(table, TrainingConfig(seed=6, epochs=2, f1_sweeps=2),
+              variant="neurt_b")
+        assert per_batch and set(per_batch) == {1}
 
 
 class TestSelectDiscoveries:
