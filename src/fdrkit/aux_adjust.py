@@ -74,15 +74,13 @@ class RegressionFit:
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Final per-test Beta parameters plus the pre-adjustment pair."""
+    """Final per-test Beta parameters."""
 
     a: np.ndarray
     b: np.ndarray
-    a_raw: np.ndarray
-    b_raw: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "b", "a_raw", "b_raw"):
+        for name in ("a", "b"):
             arr = np.asarray(getattr(self, name), dtype=np.float64).ravel()
             if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} must be strictly positive and finite")
@@ -131,22 +129,20 @@ def _psd_factor(sigma: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def adjust(fit: RegressionFit, Xa, a_raw, b_raw,
-           mode: str = "mean", seed: int = 0) -> BetaParams:
+def adjust(fit: RegressionFit, Xa, mode: str = "mean",
+           seed: int = 0) -> BetaParams:
     """Produce adjusted Beta parameters from a regression fit.
 
-    ``mean`` exponentiates the fitted conditional means; ``sample`` draws
-    once per row from the fitted bivariate normal (deterministic given
-    ``seed``) before exponentiating. Outputs are clipped to
-    [CLIP_LO, CLIP_HI].
+    The parameters depend on the fit and ``Xa`` alone, not on the
+    network's pseudo-parameters. ``mean`` exponentiates the fitted
+    conditional means; ``sample`` draws once per row from the fitted
+    bivariate normal (deterministic given ``seed``) before
+    exponentiating. Outputs are clipped to [CLIP_LO, CLIP_HI].
     """
     Xa = np.asarray(Xa, dtype=np.float64)
     if Xa.ndim == 1:
         Xa = Xa[:, None]
-    a_raw = np.asarray(a_raw, dtype=np.float64).ravel()
-    b_raw = np.asarray(b_raw, dtype=np.float64).ravel()
-    n = a_raw.shape[0]
-    if Xa.shape != (n, fit.q):
+    if Xa.ndim != 2 or Xa.shape[1] != fit.q:
         raise ShapeError(f"Xa must be (n, {fit.q}), got {Xa.shape}")
     if mode not in ADJUST_MODES:
         raise DomainError(f"unknown adjustment mode {mode!r}")
@@ -155,6 +151,7 @@ def adjust(fit: RegressionFit, Xa, a_raw, b_raw,
                             fit.mu_b + Xa @ fit.delta_b))
     if mode == "sample":
         rng = np.random.default_rng(seed)
-        mean = mean + rng.standard_normal((n, 2)) @ _psd_factor(fit.sigma).T
+        draws = rng.standard_normal((Xa.shape[0], 2))
+        mean = mean + draws @ _psd_factor(fit.sigma).T
     ab = np.clip(np.exp(mean), CLIP_LO, CLIP_HI)
-    return BetaParams(a=ab[:, 0], b=ab[:, 1], a_raw=a_raw, b_raw=b_raw)
+    return BetaParams(a=ab[:, 0], b=ab[:, 1])

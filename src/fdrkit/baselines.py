@@ -6,6 +6,7 @@ standard normal null.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,35 @@ class DiscoverySet:
         return mask
 
     def write_csv(self, path, ids=None):
-        ids = ids if ids is not None else [str(i) for i in range(len(self.scores))]
-        mask = self.rejected_mask()
-        with open(path, "w", encoding="utf-8") as fh:
+        """Write one ``id,score,rejected`` line per test.
+
+        Lines end in a line feed; scores are shortest round-trip floats
+        and ``rejected`` is 0 or 1. An id is quoted only when it must be
+        (see ``_csv_field``).
+        """
+        ids = ids if ids is not None else range(len(self.scores))
+        flags = self.rejected_mask().astype(np.int8).tolist()
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("id,score,rejected\n")
-            for i, (rid, s) in enumerate(zip(ids, self.scores)):
-                fh.write(f"{rid},{float(s)!r},{int(mask[i])}\n")
+            fh.writelines(f"{_csv_field(str(rid))},{s!r},{r}\n" for rid, s, r
+                          in zip(ids, self.scores.tolist(), flags))
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted only when it must be.
+
+    A field holding a comma, a double quote or a line break is wrapped in
+    quotes with its quotes doubled, as ``csv``'s minimal quoting does.
+    ``csv`` leaves a lone carriage return unquoted when the line
+    terminator is a line feed, and ``csv.reader`` then splits the row
+    there; it is quoted here too.
+    """
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def z_to_pvalue(z, sidedness: str = "two_sided"):

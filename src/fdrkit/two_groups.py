@@ -441,19 +441,23 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
 
 
 def beta_params_for(model: FittedModel, table: HypothesisTable) -> BetaParams:
-    """Per-row Beta parameters a new table receives from a fitted model."""
+    """Per-row Beta parameters a new table receives from a fitted model.
+
+    With a Stage II regression the parameters come from it and ``Xa``
+    alone, so the network is not run; without one they are the
+    network's outputs.
+    """
     if table.k != model.k or table.q != model.q:
         raise ShapeError(
             f"table has (k={table.k}, q={table.q}), model was fitted on "
             f"(k={model.k}, q={model.q})"
         )
     work = model.scaling.apply(table) if model.scaling is not None else table
-    a_raw, b_raw = forward(model.net_params, _net_input(model.variant, work))
-    a_raw, b_raw = np.atleast_1d(a_raw), np.atleast_1d(b_raw)
-    if model.regression is None:
-        return BetaParams(a=a_raw, b=b_raw, a_raw=a_raw, b_raw=b_raw)
-    return adjust(model.regression, work.Xa, a_raw, b_raw,
-                  mode=model.adjust_mode, seed=model.adjust_seed)
+    if model.regression is not None:
+        return adjust(model.regression, work.Xa,
+                      mode=model.adjust_mode, seed=model.adjust_seed)
+    a, b = forward(model.net_params, _net_input(model.variant, work))
+    return BetaParams(a=np.atleast_1d(a), b=np.atleast_1d(b))
 
 
 def posteriors(model: FittedModel, table: HypothesisTable) -> np.ndarray:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -144,3 +145,25 @@ class TestDiscoverySet:
         assert lines[0] == "id,score,rejected"
         assert lines[1].startswith("a,") and lines[1].endswith(",1")
         assert lines[2].endswith(",0")
+
+    def test_csv_bytes_for_plain_ids(self, tmp_path):
+        scores = np.random.default_rng(1).uniform(size=9)
+        ds = bh(scores, alpha=0.3)
+        path = tmp_path / "d.csv"
+        ds.write_csv(path)
+        mask = ds.rejected_mask()
+        want = "id,score,rejected\n" + "".join(
+            f"{i},{float(s)!r},{int(mask[i])}\n" for i, s in enumerate(scores))
+        assert path.read_bytes() == want.encode("utf-8")
+
+    def test_ids_needing_quotes_round_trip(self, tmp_path):
+        ids = ["r,1", 'say "hi"', "two\nlines", "cr\ronly", "plain"]
+        ds = bh([0.001, 0.5, 0.002, 0.9, 0.003], alpha=0.05)
+        path = tmp_path / "d.csv"
+        ds.write_csv(path, ids=ids)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id", "score", "rejected"]
+        assert [r[0] for r in rows[1:]] == ids
+        assert [float(r[1]) for r in rows[1:]] == ds.scores.tolist()
+        assert [r[2] for r in rows[1:]] == ["1", "0", "1", "0", "1"]

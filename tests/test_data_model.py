@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from fdrkit import (
     standardize_covariates,
     write_table,
 )
+from fdrkit.data_model import _WRITE_BLOCK
 
 
 def _write(tmp_path, text, name="t.csv"):
@@ -66,6 +70,44 @@ class TestLoadTable:
             load_table(path)
 
 
+class TestLoadTableEdges:
+    """What ``load_table`` does with unusual input, cell for cell."""
+
+    HEADER = "id,z,x0,x1,a0,h\n"
+
+    def _load(self, tmp_path, body):
+        return load_table(_write(tmp_path, self.HEADER + body))
+
+    @pytest.mark.parametrize("body,where", [
+        ("r0,1,2,3,4,0\n\nr1,1,2,3,4,1\n", "row 3, column 'z'"),
+        ("r0,1,2,3,4\n", "row 2, column 'h'"),
+        ("r0,1,2,3,4,0\nr1,1,2,x,4,1\nr2,1,y,3,4,0\n", "row 3, column 'x1'"),
+        ("r0,1,2,3,q,0\nr1,1,2,3,4,7x\n", "row 2, column 'a0'"),
+    ])
+    def test_first_bad_cell_in_row_major_order(self, tmp_path, body, where):
+        with pytest.raises(TableParseError) as info:
+            self._load(tmp_path, body)
+        assert str(info.value) == f"non-numeric value in {where}"
+
+    def test_extra_trailing_cell_loads(self, tmp_path):
+        t = self._load(tmp_path, "r0,1,2,3,4,0,extra\nr1,5,6,7,8,1\n")
+        np.testing.assert_array_equal(t.z, [1.0, 5.0])
+        np.testing.assert_array_equal(t.X, [[2.0, 3.0], [6.0, 7.0]])
+        np.testing.assert_array_equal(t.h_truth, [0, 1])
+
+    def test_quoted_id_keeps_its_comma(self, tmp_path):
+        t = self._load(tmp_path, '"r,1",1,2,3,4,0\n')
+        assert t.ids == ("r,1",)
+
+    def test_underscore_digits_parse_as_float_does(self, tmp_path):
+        t = self._load(tmp_path, "r0,1_0,2,3,4,0\n")
+        assert t.z[0] == 10.0
+
+    def test_hash_in_id_is_kept(self, tmp_path):
+        t = self._load(tmp_path, "r#1,1,2,3,4,0\n")
+        assert t.ids == ("r#1",)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("q,with_h", [(0, False), (2, True), (3, False)])
     def test_write_then_load_is_identity(self, tmp_path, q, with_h):
@@ -89,6 +131,27 @@ class TestRoundTrip:
             np.testing.assert_array_equal(back.h_truth, t.h_truth)
         else:
             assert back.h_truth is None
+
+    def test_bytes_match_row_by_row_reference(self, tmp_path):
+        """Block-wise formatting writes what a row-at-a-time loop writes,
+        across a block boundary."""
+        rng = np.random.default_rng(6)
+        n = _WRITE_BLOCK + 3
+        t = HypothesisTable(
+            z=rng.standard_normal(n), X=rng.standard_normal((n, 2)),
+            Xa=rng.standard_normal((n, 1)), h_truth=rng.integers(0, 2, n),
+        )
+        path = tmp_path / "blocks.csv"
+        write_table(t, path)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["id", "z", "x0", "x1", "a0", "h"])
+        for i in range(n):
+            writer.writerow([t.ids[i], repr(float(t.z[i])),
+                             *(repr(float(v)) for v in t.X[i]),
+                             *(repr(float(v)) for v in t.Xa[i]),
+                             str(int(t.h_truth[i]))])
+        assert path.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from fdrkit import (
     train,
 )
 from fdrkit import prior_net, two_groups
-from fdrkit.densities import DENSITY_FLOOR
+from fdrkit.densities import DENSITY_FLOOR, eval_density, null_pdf
 from fdrkit.prior_net import grad_check
 from fdrkit.two_groups import _loss_and_grads, _nll_terms
 
@@ -495,6 +496,41 @@ class TestPosteriors:
         want = posterior_alt(beta.a, beta.b, f0z, f1z,
                              grid_size=SMALL_TRAIN["lambda_grid_size"])
         np.testing.assert_allclose(posteriors(model, table), want, rtol=1e-12)
+
+    def test_regression_scores_without_the_network(self, small_fit,
+                                                   monkeypatch):
+        table, _, model = small_fit
+        assert model.regression is not None
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward ran under Stage II")
+
+        monkeypatch.setattr(two_groups, "forward", no_forward)
+        beta = beta_params_for(model, table)
+        f0z = np.maximum(null_pdf(table.z), DENSITY_FLOOR)
+        f1z = eval_density(model.f1, table.z)
+        want = posterior_alt(beta.a, beta.b, f0z, f1z,
+                             grid_size=SMALL_TRAIN["lambda_grid_size"])
+        np.testing.assert_allclose(posteriors(model, table), want, rtol=1e-12)
+
+    def test_no_regression_runs_the_network(self, small_fit, monkeypatch):
+        table, _, model = small_fit
+        calls = []
+        raw = prior_net.forward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(two_groups, "forward", counting)
+        bare = dataclasses.replace(model, regression=None)
+        assert posteriors(bare, table).shape == (table.n,)
+        assert len(calls) == 1
+        beta = beta_params_for(bare, table)
+        work = bare.scaling.apply(table)
+        a, b = raw(bare.net_params, np.hstack((work.X, work.Xa)))
+        np.testing.assert_array_equal(beta.a, a)
+        np.testing.assert_array_equal(beta.b, b)
 
     def test_informative_rows_score_high(self, small_fit):
         table, _, model = small_fit
