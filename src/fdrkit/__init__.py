@@ -19,8 +19,7 @@ from .data_model import (
     write_table,
 )
 from .densities import (
-    GridConfig,
-    GridDensity,
+    MixtureDensity,
     RecursionConfig,
     estimate_alternative,
     eval_density,
@@ -67,7 +66,7 @@ __all__ = [
     "DiscoverySet", "bh", "storey_bh", "z_to_pvalue",
     "CovariateScaling", "HypothesisTable", "TableSchema",
     "load_table", "standardize_covariates", "write_table",
-    "GridConfig", "GridDensity", "RecursionConfig",
+    "MixtureDensity", "RecursionConfig",
     "estimate_alternative", "eval_density", "null_pdf",
     "DegenerateInputError", "DomainError", "FdrkitError",
     "InsufficientDataError", "NumericError", "SchemaError", "ShapeError",

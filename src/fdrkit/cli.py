@@ -206,6 +206,7 @@ def fit(in_path, variant, seed, out, **train_kwargs):
         "best_epoch": model.train_log["best_epoch"],
         "best_val_nll": model.train_log["best_val_nll"],
         "epochs_run": len(model.train_log["epochs"]) - 1,
+        "stop_reason": model.train_log["stop_reason"],
         "pi1_hat": model.pi1_hat,
         "seconds": round(seconds, 3),
         "config_hash": _hash_config({**asdict(config),

@@ -159,10 +159,22 @@ def forward(params: NetworkParams, x):
     """Map covariates to a strictly positive Beta parameter pair.
 
     Accepts a single vector or an (n, input_dim) batch; returns floats
-    or a pair of arrays accordingly.
+    or a pair of arrays accordingly. Keeps no backward cache: each
+    layer's arrays are dropped once the next is formed, and the
+    arithmetic is ``_forward_cached``'s, so the outputs are bit-identical.
     """
     X, single = _as_batch(params, x)
-    a, b, _ = _forward_cached(params, X)
+    h = X
+    n_layers = len(params.weights)
+    for layer, (W, bias) in enumerate(zip(params.weights, params.biases)):
+        u = h @ W
+        u += bias
+        if layer < n_layers - 1:
+            np.maximum(u, 0.0, out=u)
+        h = u
+    floor = params.config.output_floor
+    a = softplus(h[:, 0]) + floor
+    b = softplus(h[:, 1]) + floor
     if single:
         return float(a[0]), float(b[0])
     return a, b

@@ -41,8 +41,7 @@ from .baselines import DiscoverySet
 from .data_model import CovariateScaling, HypothesisTable, standardize_covariates
 from .densities import (
     DENSITY_FLOOR,
-    GridConfig,
-    GridDensity,
+    MixtureDensity,
     RecursionConfig,
     estimate_alternative,
     eval_density,
@@ -57,7 +56,7 @@ from .errors import (
 )
 from .prior_net import NetworkConfig, NetworkParams, _forward_cached, backward, forward, init_network
 
-MODEL_FORMAT_TAG = "fdrkit-model-v1"
+MODEL_FORMAT_TAG = "fdrkit-model-v2"
 
 _LIKELIHOOD_FLOOR = 1e-300
 _CHUNK = 1024
@@ -246,7 +245,7 @@ class FittedModel:
     regression: RegressionFit | None
     f0_loc: float
     f0_scale: float
-    f1: GridDensity
+    f1: MixtureDensity
     pi1_hat: float
     scaling: CovariateScaling | None
     adjust_mode: str
@@ -296,7 +295,7 @@ class FittedModel:
             regression=(RegressionFit.from_dict(d["regression"])
                         if d["regression"] else None),
             f0_loc=d["f0"]["loc"], f0_scale=d["f0"]["scale"],
-            f1=GridDensity.from_dict(d["f1"]),
+            f1=MixtureDensity.from_dict(d["f1"]),
             pi1_hat=d["pi1_hat"],
             scaling=scaling,
             adjust_mode=d["adjust_mode"],
@@ -348,7 +347,6 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
 
     f1, pi1_hat = estimate_alternative(
         work.z,
-        grid=GridConfig(),
         config=RecursionConfig(sweeps=config.f1_sweeps,
                                kernel_sd=config.f1_kernel_sd),
         seed=s_density,
@@ -379,6 +377,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
     velocity = [np.zeros_like(arr) for arr in params.arrays()]
     rng_batch = np.random.default_rng(s_batch)
     stall = 0
+    stop_reason = "epoch_cap"
     for epoch in range(1, config.epochs + 1):
         order = rng_batch.permutation(train_idx)
         batch_nlls = []
@@ -410,6 +409,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
         else:
             stall += 1
             if stall >= config.patience:
+                stop_reason = "patience"
                 break
 
     params = best_params
@@ -435,6 +435,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
             "best_epoch": best_epoch,
             "best_val_nll": best_val,
             "pi1_hat": pi1_hat,
+            "stop_reason": stop_reason,
         },
         k=work.k, q=work.q,
     )

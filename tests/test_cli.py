@@ -61,6 +61,7 @@ class TestFit:
         assert payload["variant"] == "neurt_b"
         saved = json.loads(model_path.read_text())
         assert saved["variant"] == "neurt_b"
+        assert payload["stop_reason"] == saved["train_log"]["stop_reason"]
 
     def test_missing_input_nonzero_exit(self, runner, tmp_path):
         res = runner.invoke(main, ["fit", "--in", str(tmp_path / "nope.csv"),

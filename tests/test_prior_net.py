@@ -99,6 +99,21 @@ class TestForward:
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1, b2)
 
+    def test_bit_identical_to_cached_pass(self):
+        rng = np.random.default_rng(7)
+        p = init_network(NetworkConfig(input_dim=4, hidden_sizes=(32, 16)),
+                         seed=1)
+        for bias in p.biases:
+            bias[:] = rng.uniform(-0.3, 0.3, size=bias.shape)
+        X = rng.standard_normal((257, 4))
+        a, b = forward(p, X)
+        a_ref, b_ref, _ = _forward_cached(p, X)
+        np.testing.assert_array_equal(a, a_ref)
+        np.testing.assert_array_equal(b, b_ref)
+        a1, b1 = forward(p, X[5])
+        a1_ref, b1_ref, _ = _forward_cached(p, X[5:6])
+        assert (a1, b1) == (float(a1_ref[0]), float(b1_ref[0]))
+
 
 def _upstream_loss(X, ga, gb):
     """Scalar objective whose exact gradient ``backward`` returns."""

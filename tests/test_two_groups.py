@@ -453,6 +453,33 @@ class TestTrain:
         with pytest.raises(DomainError):
             train(table, config, variant="neurt_c")
 
+    def test_stop_reason_patience(self):
+        table = generate(scenario_config("A", seed=9, n=300))
+        # a step this large overshoots, so validation NLL soon stalls
+        model = train(table, TrainingConfig(seed=9, epochs=50, patience=1,
+                                            lr=1.0, f1_sweeps=2,
+                                            lambda_grid_size=200),
+                      variant="neurt_a")
+        assert model.train_log["stop_reason"] == "patience"
+        assert len(model.train_log["epochs"]) - 1 < 50
+
+    def test_stop_reason_epoch_cap(self):
+        table = generate(scenario_config("A", seed=9, n=300))
+        model = train(table, TrainingConfig(seed=9, epochs=1, f1_sweeps=2,
+                                            lambda_grid_size=200),
+                      variant="neurt_a")
+        assert model.train_log["stop_reason"] == "epoch_cap"
+        assert len(model.train_log["epochs"]) - 1 == 1
+
+    def test_wide_f1_kernel(self):
+        table = generate(scenario_config("A", seed=10, n=300))
+        model = train(table, TrainingConfig(seed=10, epochs=1, f1_sweeps=2,
+                                            f1_kernel_sd=2.0,
+                                            lambda_grid_size=200),
+                      variant="neurt_a")
+        assert model.f1.sd == 2.0
+        assert model.f1.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
 
 class TestModelIO:
     def test_save_load_same_posteriors(self, small_fit, tmp_path):
@@ -477,6 +504,20 @@ class TestModelIO:
         d["format"] = "nope"
         with pytest.raises(DomainError):
             FittedModel.from_dict(d)
+
+    def test_grid_model_file_rejected(self, small_fit):
+        _, _, model = small_fit
+        d = model.to_dict()
+        d["format"] = "fdrkit-model-v1"
+        with pytest.raises(DomainError, match="unsupported model format"):
+            FittedModel.from_dict(d)
+
+    def test_f1_stored_as_mixture(self, small_fit):
+        _, _, model = small_fit
+        f1 = model.to_dict()["f1"]
+        assert set(f1) == {"lo", "step", "sd", "weights"}
+        assert (f1["lo"], f1["step"], f1["sd"]) == (-10.0, 0.1, 1.0)
+        assert len(f1["weights"]) == 201
 
 
 class TestPosteriors:
