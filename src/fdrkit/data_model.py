@@ -4,11 +4,20 @@ A table holds one row per hypothesis test: the test statistic ``z``, a
 ``k``-dimensional test-level covariate vector, an optional
 ``q``-dimensional auxiliary covariate vector, and (for simulated data)
 the ground-truth label ``h``.
+
+``load_table`` reads the file once. ``csv`` splits the header, and one
+``np.loadtxt`` pass reads the body: quoted fields follow ``csv``'s
+default dialect (``"a,b"``, a doubled ``""``), and numbers are converted
+by the routine behind ``float()``. Whatever that pass cannot read the
+same way goes through a per-cell ``csv`` + ``float()`` loop, so every
+table reads as those two would read it. A blank line is an empty row,
+and so a bad cell.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +34,9 @@ _CONST_TOL = 1e-12
 #: and leave their strings' memory behind: 4096-row blocks raised a
 #: later 5000-row fit's peak RSS by 4 MB, 64-row blocks by nothing.
 _WRITE_BLOCK = 64
+#: bytes that ``np.loadtxt`` strips from a number as whitespace
+#: (``str.isspace()`` is true for them) but ``float()`` rejects
+_SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 
 def _frozen(a, dtype=np.float64) -> np.ndarray:
@@ -136,25 +148,58 @@ def _detect_prefixed(header: list[str], prefix: str) -> tuple[str, ...]:
     return tuple(cols)
 
 
+def _read_text(path) -> tuple[list[str], list[str], bool]:
+    """The header's cells, the body's lines, and whether the file holds a
+    ``_SEPARATORS`` byte: everything ``load_table`` needs from one read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                          newline="") as text:
+        try:
+            header = next(csv.reader(text))
+        except StopIteration:
+            raise SchemaError(f"{path}: empty file, expected a header row")
+        lines = text.readlines()
+    return header, lines, any(c in data for c in _SEPARATORS)
+
+
+def _parse_body(lines: list[str], dtype: np.dtype, usecols: list[int]):
+    """The body as one structured array from ``np.loadtxt``, or None where
+    that pass may not read what ``csv`` and ``float()`` read."""
+    # loadtxt warns on a body without rows, and skips the blank lines
+    # that csv reads as empty rows; csv refuses a field over its limit
+    if (not lines or lines[0] in ("\n", "\r\n", "\r")
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        cols = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                          quotechar='"', usecols=usecols, ndmin=1)
+    except ValueError:
+        return None
+    # one row per line: no blank line skipped, no quoted line break
+    return cols if cols.shape[0] == len(lines) else None
+
+
 def load_table(path, schema: TableSchema = TableSchema()) -> HypothesisTable:
     """Read a hypothesis table from a headered CSV file.
+
+    One ``np.loadtxt`` pass reads the body (see the module docstring). A
+    per-cell ``csv`` + ``float()`` loop reads it instead wherever that
+    pass fails or may read otherwise: a cell it cannot convert, a blank
+    line, a quoted line break, a byte in ``_SEPARATORS``, or a line
+    longer than ``csv``'s field limit. The loop names the first bad cell.
 
     Raises
     ------
     SchemaError
         If a required column is absent.
     TableParseError
-        If a cell is not numeric (message names row and column).
+        If a cell is not numeric (message names row and column), or a
+        line is blank.
     TableValidationError
         If parsed values violate a table invariant (e.g. h outside {0,1}).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row")
-        rows = list(reader)
+    header, lines, separators = _read_text(path)
 
     if schema.z_col not in header:
         raise SchemaError(f"missing column {schema.z_col}")
@@ -174,38 +219,38 @@ def load_table(path, schema: TableSchema = TableSchema()) -> HypothesisTable:
             if c not in header:
                 raise SchemaError(f"missing column {c}")
     pos = {name: i for i, name in enumerate(header)}
-
-    def cell(row_idx, row, col):
-        try:
-            return float(row[pos[col]])
-        except (ValueError, IndexError):
-            raise TableParseError(
-                f"non-numeric value in row {row_idx + 2}, column {col!r}"
-            )
-
-    n = len(rows)
     has_h = schema.h_col in header
+    has_id = schema.id_col in header
 
-    def column(col):
-        return np.array([r[pos[col]] for r in rows], dtype=np.float64)
+    fields = [("z", np.float64), ("X", np.float64, (len(x_cols),)),
+              ("Xa", np.float64, (len(a_cols),))]
+    names = [schema.z_col, *x_cols, *a_cols]
+    if has_h:
+        fields.append(("h", np.float64))
+        names.append(schema.h_col)
+    if has_id:
+        fields.append(("id", object))
+        names.append(schema.id_col)
+    cols = None if separators else _parse_body(
+        lines, np.dtype(fields), [pos[c] for c in names])
 
-    def matrix(cols):
-        M = np.empty((n, len(cols)))
-        for j, c in enumerate(cols):
-            M[:, j] = column(c)
-        return M
+    if cols is not None:
+        n = cols.shape[0]
+        z, X, Xa = cols["z"], cols["X"], cols["Xa"]
+        hvals = cols["h"] if has_h else None
+        ids = tuple(cols["id"].tolist()) if has_id else None
+    else:
+        rows = list(csv.reader(lines))
+        n = len(rows)
 
-    # whole columns at once, through the same float() parser as cell();
-    # on any failure the per-cell loop below finds and names the first
-    # bad cell in its row-major order
-    bulk = all(len(r) == len(header) for r in rows)
-    if bulk:
-        try:
-            z, X, Xa = column(schema.z_col), matrix(x_cols), matrix(a_cols)
-            hvals = column(schema.h_col) if has_h else None
-        except ValueError:
-            bulk = False
-    if not bulk:
+        def cell(row_idx, row, col):
+            try:
+                return float(row[pos[col]])
+            except (ValueError, IndexError):
+                raise TableParseError(
+                    f"non-numeric value in row {row_idx + 2}, column {col!r}"
+                )
+
         z = np.array([cell(i, r, schema.z_col) for i, r in enumerate(rows)])
         X = np.array(
             [[cell(i, r, c) for c in x_cols] for i, r in enumerate(rows)]
@@ -216,6 +261,7 @@ def load_table(path, schema: TableSchema = TableSchema()) -> HypothesisTable:
         if has_h:
             hvals = np.array(
                 [cell(i, r, schema.h_col) for i, r in enumerate(rows)])
+        ids = tuple(r[pos[schema.id_col]] for r in rows) if has_id else None
 
     h = None
     if has_h:
@@ -226,9 +272,7 @@ def load_table(path, schema: TableSchema = TableSchema()) -> HypothesisTable:
             )
         h = hvals.astype(np.int64)
 
-    if schema.id_col in header:
-        ids = tuple(r[pos[schema.id_col]] for r in rows)
-    else:
+    if ids is None:
         ids = tuple(str(i) for i in range(n))
     return HypothesisTable(z=z, X=X, Xa=Xa, h_truth=h, ids=ids)
 

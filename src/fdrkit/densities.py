@@ -12,7 +12,10 @@ order dependence.
 The result is held exactly, as the Gaussian location mixture
 ``f1(z) = sum_j w_j phi((z - u_j)/sd)/sd`` on the centers ``u_j``. The
 centers start at -10 and step by ``kernel_sd / 10``, so the grid covers
-[-10, 10] with 201 cells at the default ``kernel_sd = 1``. The masses
+[-10, 10] with 201 cells at the default ``kernel_sd = 1``. The step is
+never below ``MIN_STEP`` = 0.01, so the grid never exceeds 2001 cells
+whatever the kernel; below ``kernel_sd = 0.1`` the centers are then
+spaced wider than a tenth of the kernel. The masses
 are a smooth function of the center, and the step must scale with the
 kernel. Measured on 300 z-values against the same recursion on a 0.01
 grid, smoothed through the kernel onto a 0.01 z-grid and normalized on
@@ -44,6 +47,8 @@ DENSITY_FLOOR = 1e-10
 LATENT_LO, LATENT_HI = -10.0, 10.0
 #: latent cells per kernel standard deviation
 CELLS_PER_SD = 10
+#: the finest latent step; caps the grid at 2001 cells on [-10, 10]
+MIN_STEP = 0.01
 
 _WEIGHT_SUM_TOL = 1e-9
 # rows per block of ``MixtureDensity.pdf``; bounds its (rows x cells) buffer
@@ -180,7 +185,7 @@ def estimate_alternative(
             f"z range [{z.min():.3f}, {z.max():.3f}]"
         )
 
-    step = config.kernel_sd / CELLS_PER_SD
+    step = max(config.kernel_sd / CELLS_PER_SD, MIN_STEP)
     # the last center reaches LATENT_HI even where step does not divide it
     m = int(math.ceil(round((LATENT_HI - LATENT_LO) / step, 9))) + 1
     u = LATENT_LO + step * np.arange(m)

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fdrkit import (
     standardize_covariates,
     write_table,
 )
+from fdrkit import data_model
 from fdrkit.data_model import _WRITE_BLOCK
 
 
@@ -106,6 +109,188 @@ class TestLoadTableEdges:
     def test_hash_in_id_is_kept(self, tmp_path):
         t = self._load(tmp_path, "r#1,1,2,3,4,0\n")
         assert t.ids == ("r#1",)
+
+
+def _write_bytes(tmp_path, text, name="t.csv"):
+    """Write ``text`` as UTF-8 with its line endings exactly as given."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _reference_load(path):
+    """``csv.reader`` rows and ``float()`` on each cell: the values and ids
+    ``load_table`` must return for a well-formed id,z,x0,x1,a0,h table."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    pos = {name: i for i, name in enumerate(header)}
+
+    def col(name):
+        return np.array([float(r[pos[name]]) for r in rows])
+
+    return {
+        "ids": tuple(r[pos["id"]] for r in rows),
+        "z": col("z"),
+        "X": np.column_stack([col("x0"), col("x1")]),
+        "Xa": col("a0").reshape(-1, 1),
+        "h": col("h").astype(np.int64),
+    }
+
+
+class TestLoadTableContract:
+    """Cells parse as ``csv`` splits them and ``float()`` reads them,
+    whatever path the loader takes."""
+
+    HEADER = "id,z,x0,x1,a0,h"
+
+    def _load(self, tmp_path, rows, end="\n"):
+        text = end.join([self.HEADER, *rows]) + end
+        return load_table(_write_bytes(tmp_path, text))
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_endings(self, tmp_path, end):
+        t = self._load(tmp_path, ["r0,1,2,3,4,0", "r1,5,6,7,8,1"], end=end)
+        assert t.ids == ("r0", "r1")
+        np.testing.assert_array_equal(t.z, [1.0, 5.0])
+        np.testing.assert_array_equal(t.X, [[2.0, 3.0], [6.0, 7.0]])
+        np.testing.assert_array_equal(t.Xa, [[4.0], [8.0]])
+        np.testing.assert_array_equal(t.h_truth, [0, 1])
+
+    def test_doubled_quote_in_id(self, tmp_path):
+        t = self._load(tmp_path, ['"a""b",1,2,3,4,0', 'r1,5,6,7,8,1'])
+        assert t.ids == ('a"b', "r1")
+        np.testing.assert_array_equal(t.z, [1.0, 5.0])
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_line_break_inside_quoted_id(self, tmp_path, end):
+        t = self._load(tmp_path, [f'"a{end}b",1,2,3,4,0', "r1,5,6,7,8,1"],
+                       end=end)
+        assert t.ids == (f"a{end}b", "r1")
+        np.testing.assert_array_equal(t.z, [1.0, 5.0])
+        np.testing.assert_array_equal(t.h_truth, [0, 1])
+
+    def test_spaces_around_numbers_and_in_ids(self, tmp_path):
+        t = self._load(tmp_path, ["  r0 ,  6 ,\t2,3 ,4,0", " r1,5,6,7,8, 1"])
+        assert t.ids == ("  r0 ", " r1")
+        np.testing.assert_array_equal(t.z, [6.0, 5.0])
+        np.testing.assert_array_equal(t.X, [[2.0, 3.0], [6.0, 7.0]])
+        np.testing.assert_array_equal(t.h_truth, [0, 1])
+
+    def test_quoted_numbers(self, tmp_path):
+        t = self._load(tmp_path, ['r0,"1.5",2,3,4,"1"'])
+        assert (t.z[0], t.h_truth[0]) == (1.5, 1)
+
+    def test_single_row(self, tmp_path):
+        t = self._load(tmp_path, ["r0,1,2,3,4,1"])
+        assert (t.n, t.X.shape, t.Xa.shape, t.ids) == (1, (1, 2), (1, 1), ("r0",))
+        assert (t.z[0], t.h_truth[0]) == (1.0, 1)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_trailing_blank_line_is_a_bad_row(self, tmp_path, end):
+        text = end.join([self.HEADER, "r0,1,2,3,4,0", "", ""])
+        with pytest.raises(TableParseError) as info:
+            load_table(_write_bytes(tmp_path, text))
+        assert str(info.value) == "non-numeric value in row 3, column 'z'"
+
+    @pytest.mark.parametrize("tail", ["", "\n", "\r\n"])
+    def test_header_only_is_an_empty_table(self, tmp_path, tail):
+        path = _write_bytes(tmp_path, self.HEADER + tail)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TableValidationError, match="at least one row"):
+                load_table(path)
+
+    def test_blank_body_is_a_bad_row(self, tmp_path):
+        path = _write_bytes(tmp_path, self.HEADER + "\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TableParseError, match="row 2, column 'z'"):
+                load_table(path)
+
+    def test_extreme_values_bit_for_bit(self, tmp_path):
+        cells = ["-0.0", "5e-324", "1e-320", "1.7976931348623157e308"]
+        t = self._load(tmp_path, [
+            f"r{i},{c},{c},{c},{c},0" for i, c in enumerate(cells)])
+        want = np.array([float(c) for c in cells])
+        for got in (t.z, t.X[:, 0], t.X[:, 1], t.Xa[:, 0]):
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_controls_around_a_number_are_rejected(self, tmp_path, char):
+        """float() does not strip \\x1c-\\x1f, though str.isspace() says
+        they are spaces; the cell is bad, as float() says."""
+        with pytest.raises(TableParseError) as info:
+            self._load(tmp_path, ["r0,1,2,3,4,0", f"r1,1,2,{char}3,4,0"])
+        assert str(info.value) == "non-numeric value in row 3, column 'x1'"
+
+    def test_separator_control_in_an_id_is_kept(self, tmp_path):
+        t = self._load(tmp_path, ["r\x1c0,1,2,3,4,0"])
+        assert t.ids == ("r\x1c0",)
+
+    def test_unicode_digits_parse_as_float_does(self, tmp_path):
+        t = self._load(tmp_path, ["r0,١٢,2,3,4,0"])
+        assert t.z[0] == 12.0
+
+    @pytest.mark.parametrize("rows,end,kept", [
+        (["r0,1,2,3,4,0", "r1,5,6,7,8,1"], "\r\n", [True]),
+        (['"r,""0""",1,2,3,4,0', " r1 , 5 ,6,7,8,1"], "\n", [True]),
+        (["r0,1,2,3,4,0", "", "r1,5,6,7,8,1"], "\n", [False]),
+        (["", "r1,5,6,7,8,1"], "\n", [False]),
+        (['"r\n0",1,2,3,4,0'], "\n", [False]),
+        (["r0,1_0,2,3,4,0"], "\n", [False]),
+        (["r0,1,2,3,4,0", "r1,5,6,7,8,1\x1c"], "\n", []),
+    ])
+    def test_loadtxt_pass_kept_only_where_it_agrees(self, tmp_path, monkeypatch,
+                                                      rows, end, kept):
+        seen = []
+        parse_body = data_model._parse_body
+
+        def spy(*args):
+            cols = parse_body(*args)
+            seen.append(cols is not None)
+            return cols
+
+        monkeypatch.setattr(data_model, "_parse_body", spy)
+        with contextlib.suppress(TableParseError):
+            self._load(tmp_path, rows, end=end)
+        assert seen == kept
+
+    def test_field_over_the_csv_limit_is_refused_as_csv_refuses_it(self, tmp_path):
+        long_id = "r" * (csv.field_size_limit() + 1)
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            self._load(tmp_path, [f"{long_id},1,2,3,4,0"])
+
+    def test_random_table_matches_csv_and_float(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n = 3000
+        forms = [repr, "{:.6e}".format, "{:.3f}".format, " {!r} ".format,
+                 lambda v: repr(round(v)), "{:+.17g}".format, "{:E}".format]
+        id_forms = ["r{}", "r,{}", 'r"{}"', " r{} ", "r {}"]
+
+        def num(v):
+            return forms[rng.integers(len(forms))](float(v))
+
+        def rid(i):
+            s = id_forms[rng.integers(len(id_forms))].format(i)
+            return '"' + s.replace('"', '""') + '"' if "," in s or '"' in s else s
+
+        values = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, (n, 4))
+        lines = [self.HEADER]
+        for i in range(n):
+            lines.append(",".join([rid(i), *map(num, values[i]),
+                                   str(rng.integers(2))]))
+        path = _write_bytes(tmp_path, "\r\n".join(lines) + "\r\n")
+        t = load_table(path)
+        ref = _reference_load(path)
+        assert t.ids == ref["ids"]
+        for got, want in ((t.z, ref["z"]), (t.X, ref["X"]), (t.Xa, ref["Xa"])):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        np.testing.assert_array_equal(t.h_truth, ref["h"])
 
 
 class TestRoundTrip:

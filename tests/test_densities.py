@@ -157,6 +157,18 @@ class TestEstimateAlternative:
             assert f1.weights.shape == (cells,)
             assert f1.centers[-1] >= 10.0 - 1e-9
 
+    def test_latent_grid_has_a_ceiling(self):
+        """A narrow kernel steps by MIN_STEP = 0.01 instead of sd/10, so
+        the grid stays at 2001 cells."""
+        z = np.random.default_rng(6).standard_normal(200)
+        for sd in (0.1, 0.05, 0.001):
+            f1, pi1 = estimate_alternative(z, config=RecursionConfig(kernel_sd=sd))
+            assert (f1.step, f1.sd) == (0.01, sd)
+            assert f1.weights.shape == (2001,)
+            assert np.all(np.isfinite(f1.weights))
+            assert abs(f1.weights.sum() - 1.0) <= 1e-12
+            assert 0.0 <= pi1 <= 1.0
+
     def test_mixture_mode_located(self):
         rng = np.random.default_rng(42)
         h = rng.uniform(size=5000) < 0.5
