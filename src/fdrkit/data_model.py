@@ -153,13 +153,24 @@ def _read_text(path) -> tuple[list[str], list[str], bool]:
     ``_SEPARATORS`` byte: everything ``load_table`` needs from one read."""
     with open(path, "rb") as fh:
         data = fh.read()
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                          newline="") as text:
-        try:
-            header = next(csv.reader(text))
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row")
-        lines = text.readlines()
+    try:
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                              newline="") as text:
+            try:
+                header = next(csv.reader(text))
+            except StopIteration:
+                raise SchemaError(f"{path}: empty file, expected a header row")
+            except csv.Error as err:
+                raise TableParseError(f"{path}, line 1: {err}") from None
+            lines = text.readlines()
+    except UnicodeDecodeError as err:
+        try:  # the wrapper decodes in chunks, so its offset is the chunk's
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            err = whole
+        raise TableParseError(f"{path}: not UTF-8 text, byte "
+                              f"{err.object[err.start]:#04x} at offset "
+                              f"{err.start}") from None
     return header, lines, any(c in data for c in _SEPARATORS)
 
 
@@ -187,15 +198,18 @@ def load_table(path, schema: TableSchema = TableSchema()) -> HypothesisTable:
     per-cell ``csv`` + ``float()`` loop reads it instead wherever that
     pass fails or may read otherwise: a cell it cannot convert, a blank
     line, a quoted line break, a byte in ``_SEPARATORS``, or a line
-    longer than ``csv``'s field limit. The loop names the first bad cell.
+    longer than ``csv``'s field limit. The loop walks the cells row by
+    row, left to right, and names the first bad one.
 
     Raises
     ------
     SchemaError
         If a required column is absent.
     TableParseError
-        If a cell is not numeric (message names row and column), or a
-        line is blank.
+        If a cell is not numeric (message names row and column), a line
+        is blank, the file is not UTF-8 (message names the byte offset)
+        or a field is longer than ``csv``'s limit (message names the
+        line).
     TableValidationError
         If parsed values violate a table invariant (e.g. h outside {0,1}).
     """
@@ -222,12 +236,13 @@ def load_table(path, schema: TableSchema = TableSchema()) -> HypothesisTable:
     has_h = schema.h_col in header
     has_id = schema.id_col in header
 
+    numeric = [schema.z_col, *x_cols, *a_cols]
     fields = [("z", np.float64), ("X", np.float64, (len(x_cols),)),
               ("Xa", np.float64, (len(a_cols),))]
-    names = [schema.z_col, *x_cols, *a_cols]
     if has_h:
         fields.append(("h", np.float64))
-        names.append(schema.h_col)
+        numeric.append(schema.h_col)
+    names = list(numeric)
     if has_id:
         fields.append(("id", object))
         names.append(schema.id_col)
@@ -240,27 +255,26 @@ def load_table(path, schema: TableSchema = TableSchema()) -> HypothesisTable:
         hvals = cols["h"] if has_h else None
         ids = tuple(cols["id"].tolist()) if has_id else None
     else:
-        rows = list(csv.reader(lines))
+        reader = csv.reader(lines)
+        try:
+            rows = list(reader)
+        except csv.Error as err:
+            raise TableParseError(
+                f"{path}, line {reader.line_num + 1}: {err}") from None
         n = len(rows)
-
-        def cell(row_idx, row, col):
-            try:
-                return float(row[pos[col]])
-            except (ValueError, IndexError):
-                raise TableParseError(
-                    f"non-numeric value in row {row_idx + 2}, column {col!r}"
-                )
-
-        z = np.array([cell(i, r, schema.z_col) for i, r in enumerate(rows)])
-        X = np.array(
-            [[cell(i, r, c) for c in x_cols] for i, r in enumerate(rows)]
-        ).reshape(n, len(x_cols))
-        Xa = np.array(
-            [[cell(i, r, c) for c in a_cols] for i, r in enumerate(rows)]
-        ).reshape(n, len(a_cols))
-        if has_h:
-            hvals = np.array(
-                [cell(i, r, schema.h_col) for i, r in enumerate(rows)])
+        values = np.empty((n, len(numeric)))
+        in_row_order = sorted(enumerate(numeric), key=lambda jc: pos[jc[1]])
+        for i, row in enumerate(rows):
+            for j, col in in_row_order:
+                try:
+                    values[i, j] = float(row[pos[col]])
+                except (ValueError, IndexError):
+                    raise TableParseError(
+                        f"non-numeric value in row {i + 2}, column {col!r}"
+                    )
+        k, q = len(x_cols), len(a_cols)
+        z, X, Xa = values[:, 0], values[:, 1:1 + k], values[:, 1 + k:1 + k + q]
+        hvals = values[:, -1] if has_h else None
         ids = tuple(r[pos[schema.id_col]] for r in rows) if has_id else None
 
     h = None

@@ -8,6 +8,17 @@ framework.
 
 ``backward`` takes the cache that ``_forward_cached`` returned for the
 same batch instead of recomputing it, so an SGD step runs forward once.
+
+``forward``, the pass over whole tables, runs the network in row blocks,
+so it holds one block's activations instead of every row's. A block's
+products equal the full-size products bit for bit as long as each row
+is computed by the same BLAS kernel in the same place of its tile.
+OpenBLAS runs a product of at most ``_SMALL_GEMM`` multiply-adds through
+a small-matrix kernel that rounds differently, numpy sends a one-row
+product to ``gemv``, and the rows left over after the last full tile of
+a product round differently too. So each block is large enough for the
+large kernel and starts on a tile boundary, and a table too small for
+two such blocks is one block.
 """
 
 from __future__ import annotations
@@ -20,6 +31,13 @@ from scipy.special import expit
 from .errors import DomainError, NumericError, ShapeError
 
 _FORMAT_TAG = "fdrkit-net-v1"
+# OpenBLAS (0.3.31, SkylakeX kernels) runs a product of at most this many
+# multiply-adds (rows x fan_in x fan_out) through a small-matrix kernel,
+# which rounds differently from the kernel of a larger product
+_SMALL_GEMM = 100 ** 3
+# ``forward``'s blocks start on multiples of this many rows, so their rows
+# fill the kernel's row tiles (12 rows there) as in the full product
+_ROW_TILE = 48
 
 
 @dataclass(frozen=True)
@@ -155,26 +173,44 @@ def _forward_cached(params: NetworkParams, X: np.ndarray):
     return a, b, (pre, acts)
 
 
+def _block_edges(params: NetworkParams, n: int) -> list[int]:
+    """Row offsets of ``forward``'s blocks.
+
+    A block has the fewest rows, in whole ``_ROW_TILE``s, that keep every
+    layer's product above ``_SMALL_GEMM`` (2544 for a 200,200 network
+    with at least two inputs), and a shorter tail joins the block before
+    it. A table of fewer than two blocks' rows is one block.
+    """
+    rows = _SMALL_GEMM // min(W.size for W in params.weights) + 1
+    rows = -(-rows // _ROW_TILE) * _ROW_TILE
+    return [*range(0, max(n - rows, 0) + 1, rows), n]
+
+
 def forward(params: NetworkParams, x):
     """Map covariates to a strictly positive Beta parameter pair.
 
     Accepts a single vector or an (n, input_dim) batch; returns floats
-    or a pair of arrays accordingly. Keeps no backward cache: each
-    layer's arrays are dropped once the next is formed, and the
-    arithmetic is ``_forward_cached``'s, so the outputs are bit-identical.
+    or a pair of arrays accordingly. Keeps no backward cache, and runs
+    the whole network in the row blocks of ``_block_edges``, so beyond
+    its inputs and outputs it holds one block's activations, whatever n.
+    The arithmetic is ``_forward_cached``'s and each row meets the same
+    BLAS kernel in the same place of its tile, so the outputs are
+    bit-identical to it (see the module docstring).
     """
     X, single = _as_batch(params, x)
-    h = X
-    n_layers = len(params.weights)
-    for layer, (W, bias) in enumerate(zip(params.weights, params.biases)):
-        u = h @ W
-        u += bias
-        if layer < n_layers - 1:
-            np.maximum(u, 0.0, out=u)
-        h = u
     floor = params.config.output_floor
-    a = softplus(h[:, 0]) + floor
-    b = softplus(h[:, 1]) + floor
+    a, b = np.empty(X.shape[0]), np.empty(X.shape[0])
+    edges = _block_edges(params, X.shape[0])
+    n_layers = len(params.weights)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        h = X[lo:hi]
+        for layer, (W, bias) in enumerate(zip(params.weights, params.biases)):
+            h = h @ W
+            h += bias
+            if layer < n_layers - 1:
+                np.maximum(h, 0.0, out=h)
+        a[lo:hi] = softplus(h[:, 0]) + floor
+        b[lo:hi] = softplus(h[:, 1]) + floor
     if single:
         return float(a[0]), float(b[0])
     return a, b

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fdrkit
 from fdrkit import TrainingConfig, load_table, train
 from fdrkit.cli import main
 
@@ -111,6 +116,20 @@ class TestDiscover:
                                    "bh", "--alpha", "0.1", "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert _json_payload(res.output)["discoveries"] == 0
+
+    def test_table_that_is_not_utf8_is_a_one_line_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("id,z,x0\nr1,1.0,0.5\ncafé,2.0,1.5\n".encode("latin-1"))
+        src = str(Path(fdrkit.__file__).parents[1])
+        res = subprocess.run(
+            [sys.executable, "-m", "fdrkit.cli", "discover", "--in", str(path),
+             "--method", "bh", "--out", str(tmp_path / "d.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert res.stderr.strip() == (
+            f"Error: {path}: not UTF-8 text, byte 0xe9 at offset 22")
 
     def test_alpha_out_of_range(self, runner, tmp_path):
         table, _ = simulate(runner, tmp_path)

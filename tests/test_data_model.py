@@ -92,6 +92,18 @@ class TestLoadTableEdges:
             self._load(tmp_path, body)
         assert str(info.value) == f"non-numeric value in {where}"
 
+    def test_bad_covariate_before_a_bad_z_on_a_later_row(self, tmp_path):
+        path = _write(tmp_path, "z,x0\n1,2\n1,bad\nbad,2\n")
+        with pytest.raises(TableParseError) as info:
+            load_table(path)
+        assert str(info.value) == "non-numeric value in row 3, column 'x0'"
+
+    def test_cells_of_a_row_are_checked_in_header_order(self, tmp_path):
+        path = _write(tmp_path, "h,x0,z\nbad,bad,bad\n")
+        with pytest.raises(TableParseError) as info:
+            load_table(path)
+        assert str(info.value) == "non-numeric value in row 2, column 'h'"
+
     def test_extra_trailing_cell_loads(self, tmp_path):
         t = self._load(tmp_path, "r0,1,2,3,4,0,extra\nr1,5,6,7,8,1\n")
         np.testing.assert_array_equal(t.z, [1.0, 5.0])
@@ -261,8 +273,31 @@ class TestLoadTableContract:
 
     def test_field_over_the_csv_limit_is_refused_as_csv_refuses_it(self, tmp_path):
         long_id = "r" * (csv.field_size_limit() + 1)
-        with pytest.raises(csv.Error, match="field larger than field limit"):
-            self._load(tmp_path, [f"{long_id},1,2,3,4,0"])
+        with pytest.raises(TableParseError) as info:
+            self._load(tmp_path, ["r0,1,2,3,4,0", f"{long_id},1,2,3,4,0"])
+        assert str(info.value).endswith(
+            "t.csv, line 3: field larger than field limit "
+            f"({csv.field_size_limit()})")
+
+    def test_header_field_over_the_csv_limit_is_a_parse_error(self, tmp_path):
+        path = _write_bytes(tmp_path, "z," + "x" * (csv.field_size_limit() + 1)
+                            + "\n1,2\n")
+        with pytest.raises(TableParseError, match="t.csv, line 1: field larger"):
+            load_table(path)
+
+    def test_file_that_is_not_utf8_names_the_byte(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes("id,z,x0\nr1,1.0,0.5\ncafé,2.0,1.5\n".encode("latin-1"))
+        with pytest.raises(TableParseError) as info:
+            load_table(path)
+        assert str(info.value) == f"{path}: not UTF-8 text, byte 0xe9 at offset 22"
+
+    def test_bad_byte_past_the_first_decoded_chunk_is_named(self, tmp_path):
+        body = "".join(f"r{i},1.0,0.5\n" for i in range(20_000)).encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"id,z,x0\n" + body + b"\xff,2.0,1.5\n")
+        with pytest.raises(TableParseError, match=f"offset {8 + len(body)}$"):
+            load_table(path)
 
     def test_random_table_matches_csv_and_float(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from fdrkit import (
     init_network,
     softplus,
 )
-from fdrkit.prior_net import _forward_cached
+from fdrkit.prior_net import (
+    _ROW_TILE,
+    _SMALL_GEMM,
+    _block_edges,
+    _forward_cached,
+)
 
 
 def zero_params(input_dim=3, hidden=(4,), floor=1e-3):
@@ -113,6 +119,64 @@ class TestForward:
         a1, b1 = forward(p, X[5])
         a1_ref, b1_ref, _ = _forward_cached(p, X[5:6])
         assert (a1, b1) == (float(a1_ref[0]), float(b1_ref[0]))
+
+
+class TestForwardBlocks:
+    """``forward`` runs the network in row blocks with the one-shot answers."""
+
+    @staticmethod
+    def _net(k, hidden, rng):
+        p = init_network(NetworkConfig(input_dim=k, hidden_sizes=hidden),
+                         seed=2)
+        for bias in p.biases:
+            bias[:] = rng.uniform(-0.3, 0.3, size=bias.shape)
+        return p
+
+    @pytest.mark.parametrize("k,hidden", [
+        (2, (1,)), (5, (9, 7)), (10, (200, 200)), (4, (30, 20, 10)),
+        (12, (300, 150)),
+    ])
+    def test_bit_identical_to_cached_pass_at_block_edges(self, k, hidden):
+        rng = np.random.default_rng(11)
+        p = self._net(k, hidden, rng)
+        B = _block_edges(p, 10 ** 9)[1]
+        for n in (1, 2, B - 1, B, B + 1, B + 2, 2 * B - 1, 2 * B, 2 * B + 1,
+                  3 * B + 5):
+            X = rng.standard_normal((n, k))
+            a, b = forward(p, X)
+            a_ref, b_ref, _ = _forward_cached(p, X)
+            assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref), n
+
+    @pytest.mark.parametrize("hidden", [(1,), (9, 7), (200, 200), (500, 3)])
+    def test_blocks_stay_on_the_full_size_kernels(self, hidden):
+        p = init_network(NetworkConfig(input_dim=6, hidden_sizes=hidden))
+        smallest = min(W.size for W in p.weights)
+        rows = _block_edges(p, 10 ** 9)[1]
+        for n in (0, 1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows,
+                  2 * rows + 1, 7 * rows + 5):
+            edges = _block_edges(p, n)
+            assert edges[0] == 0 and edges[-1] == n
+            sizes = np.diff(edges)
+            if n < 2 * rows:
+                assert len(sizes) == 1
+                continue
+            assert all(lo % _ROW_TILE == 0 for lo in edges[:-1])
+            assert sizes.min() * smallest > _SMALL_GEMM
+            assert sizes.max() < 2 * rows
+
+    def test_memory_does_not_grow_with_the_table(self):
+        rng = np.random.default_rng(3)
+        p = self._net(10, (200, 200), rng)
+        one_layer = 20_000 * 200 * 8  # bytes of one (20,000 x 200) array
+        for n in (20_000, 80_000):
+            X = rng.standard_normal((n, 10))
+            tracemalloc.start()
+            try:
+                forward(p, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * one_layer, (n, peak)
 
 
 def _upstream_loss(X, ga, gb):
