@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import Record, _frozen
 from .errors import DomainError, InsufficientDataError, ShapeError
 
 #: admissible range for adjusted Beta parameters
@@ -25,7 +26,7 @@ _RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
-class RegressionFit:
+class RegressionFit(Record):
     """Bivariate least-squares fit of (log a', log b') on [1, Xa]."""
 
     mu_a: float
@@ -36,11 +37,9 @@ class RegressionFit:
     q: int
 
     def __post_init__(self):
-        da = np.asarray(self.delta_a, dtype=np.float64).ravel()
-        db = np.asarray(self.delta_b, dtype=np.float64).ravel()
-        S = np.asarray(self.sigma, dtype=np.float64)
-        for arr in (da, db, S):
-            arr.flags.writeable = False
+        da = _frozen(self.delta_a).ravel()
+        db = _frozen(self.delta_b).ravel()
+        S = _frozen(self.sigma)
         object.__setattr__(self, "delta_a", da)
         object.__setattr__(self, "delta_b", db)
         object.__setattr__(self, "sigma", S)
@@ -50,26 +49,6 @@ class RegressionFit:
             raise DomainError("sigma must be a symmetric 2x2 matrix")
         if S[0, 0] < 0 or S[1, 1] < 0 or S[0, 1] ** 2 > S[0, 0] * S[1, 1] + 1e-12:
             raise DomainError("sigma must be positive semidefinite")
-
-    def to_dict(self) -> dict:
-        return {
-            "mu_a": float(self.mu_a),
-            "mu_b": float(self.mu_b),
-            "delta_a": [float(v) for v in self.delta_a],
-            "delta_b": [float(v) for v in self.delta_b],
-            "sigma": [[float(self.sigma[i, j]) for j in range(2)] for i in range(2)],
-            "q": self.q,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegressionFit":
-        return cls(
-            mu_a=d["mu_a"], mu_b=d["mu_b"],
-            delta_a=np.array(d["delta_a"], dtype=np.float64),
-            delta_b=np.array(d["delta_b"], dtype=np.float64),
-            sigma=np.array(d["sigma"], dtype=np.float64),
-            q=d["q"],
-        )
 
 
 @dataclass(frozen=True)
@@ -81,10 +60,9 @@ class BetaParams:
 
     def __post_init__(self):
         for name in ("a", "b"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).ravel()
+            arr = _frozen(getattr(self, name)).ravel()
             if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} must be strictly positive and finite")
-            arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
 

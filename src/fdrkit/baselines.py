@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .data_model import _frozen
 from .errors import DomainError
 
 
@@ -30,10 +31,9 @@ class DiscoverySet:
     method: str
 
     def __post_init__(self):
-        r = np.asarray(self.rejected, dtype=np.int64)
-        r.flags.writeable = False
-        s = np.asarray(self.scores, dtype=np.float64)
-        s.flags.writeable = False
+        # ndmin=0: a scalar is no vector, as before
+        r = _frozen(self.rejected, dtype=np.int64, ndmin=0)
+        s = _frozen(self.scores, ndmin=0)
         object.__setattr__(self, "rejected", r)
         object.__setattr__(self, "scores", s)
         if not 0.0 < self.alpha < 1.0:

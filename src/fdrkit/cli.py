@@ -27,6 +27,7 @@ from .prior_net import NetworkConfig
 from .synthetic import SCENARIOS, generate, scenario_config
 from .two_groups import (
     ADJUST_MODES,
+    VARIANTS,
     FittedModel,
     TrainingConfig,
     fdp_power,
@@ -36,7 +37,6 @@ from .two_groups import (
 )
 
 _BASELINES = ("bh", "sbh")
-_NEURT_METHODS = ("neurt_a", "neurt_b")
 
 
 def _hash_config(d: dict) -> str:
@@ -368,10 +368,10 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
     if not seed_list:
         raise click.UsageError("seeds list must not be empty")
     for m in method_list:
-        if m not in _BASELINES + _NEURT_METHODS:
+        if m not in _BASELINES + VARIANTS:
             raise click.UsageError(
                 f"unknown method {m!r}; available: "
-                f"{list(_BASELINES) + list(_NEURT_METHODS)}"
+                f"{list(_BASELINES + VARIANTS)}"
             )
     try:
         scenario_config(scenario)

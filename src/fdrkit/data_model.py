@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,11 +39,33 @@ _WRITE_BLOCK = 64
 _SEPARATORS = b"\x1c\x1d\x1e\x1f"
 
 
-def _frozen(a, dtype=np.float64) -> np.ndarray:
-    """A read-only contiguous copy; the caller's array stays writeable."""
-    a = np.array(a, dtype=dtype, order="C", ndmin=1)
+def _frozen(a, dtype=np.float64, ndmin=1) -> np.ndarray:
+    """A read-only contiguous copy; the caller's array stays writeable.
+
+    Every record freezes its arrays through this, so no record shares
+    memory with its caller or makes the caller's array read-only.
+    """
+    a = np.array(a, dtype=dtype, order="C", ndmin=ndmin)
     a.flags.writeable = False
     return a
+
+
+class Record:
+    """Base of the frozen dataclasses that are saved inside model files.
+
+    ``to_dict`` maps each field to its value, arrays as nested lists;
+    ``from_dict`` hands them back to the constructor, whose
+    ``__post_init__`` turns the lists into frozen arrays again.
+    """
+
+    def to_dict(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v.tolist() if isinstance(v, np.ndarray) else v
+                for name, v in values.items()}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -323,13 +345,17 @@ def write_table(table: HypothesisTable, path, schema: TableSchema = TableSchema(
 
 
 @dataclass(frozen=True)
-class CovariateScaling:
+class CovariateScaling(Record):
     """Per-column centering/scaling parameters, reusable on new tables."""
 
     x_center: np.ndarray
     x_scale: np.ndarray
     a_center: np.ndarray
     a_scale: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _frozen(getattr(self, f.name)))
 
     def apply(self, table: HypothesisTable) -> HypothesisTable:
         if table.k != self.x_center.shape[0] or table.q != self.a_center.shape[0]:
@@ -360,8 +386,6 @@ def standardize_covariates(
         raise InsufficientDataError("standardization needs at least 2 rows")
     xc, xs = _fit_columns(table.X)
     ac, asc = _fit_columns(table.Xa)
-    scaling = CovariateScaling(
-        x_center=_frozen(xc), x_scale=_frozen(xs),
-        a_center=_frozen(ac), a_scale=_frozen(asc),
-    )
+    scaling = CovariateScaling(x_center=xc, x_scale=xs, a_center=ac,
+                               a_scale=asc)
     return scaling.apply(table), scaling

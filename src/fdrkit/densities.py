@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data_model import Record, _frozen
 from .errors import DomainError, InsufficientDataError
 
 #: evaluation floor; keeps log-likelihoods finite for extreme z
@@ -49,6 +50,10 @@ LATENT_LO, LATENT_HI = -10.0, 10.0
 CELLS_PER_SD = 10
 #: the finest latent step; caps the grid at 2001 cells on [-10, 10]
 MIN_STEP = 0.01
+#: the recursion's step ``t`` (from 1) has learning weight ``(t+1)**-this``
+DECAY_EXPONENT = 0.67
+#: every pass starts from this alternative mass
+INIT_PI1 = 0.1
 
 _WEIGHT_SUM_TOL = 1e-9
 # rows per block of ``MixtureDensity.pdf``; bounds its (rows x cells) buffer
@@ -56,7 +61,7 @@ _PDF_BLOCK = 4096
 
 
 @dataclass(frozen=True)
-class MixtureDensity:
+class MixtureDensity(Record):
     """A Gaussian location mixture on the centers ``lo + step * j``.
 
     Invariants: ``step`` and ``sd`` are positive, and ``weights`` is a
@@ -69,8 +74,7 @@ class MixtureDensity:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64)
-        w.flags.writeable = False
+        w = _frozen(self.weights, ndmin=0)  # a scalar is refused below
         object.__setattr__(self, "weights", w)
         if not (math.isfinite(self.lo) and 0 < self.step < math.inf
                 and 0 < self.sd < math.inf):
@@ -107,19 +111,6 @@ class MixtureDensity:
         out *= 1.0 / (self.sd * math.sqrt(2.0 * math.pi))
         return out.reshape(z.shape) if z.ndim else float(out[0])
 
-    def to_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "step": self.step,
-            "sd": self.sd,
-            "weights": [float(x) for x in self.weights],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MixtureDensity":
-        return cls(lo=d["lo"], step=d["step"], sd=d["sd"],
-                   weights=np.array(d["weights"], dtype=np.float64))
-
 
 def null_pdf(z, loc: float = 0.0, scale: float = 1.0):
     """Gaussian density at z; the default N(0,1) is the null model."""
@@ -145,8 +136,6 @@ class RecursionConfig:
     """Settings for the recursive alternative-density estimator."""
 
     sweeps: int = 10
-    weight_decay_exponent: float = 0.67
-    init_pi1: float = 0.1
     kernel_sd: float = 1.0
 
     def __post_init__(self):
@@ -165,9 +154,10 @@ def estimate_alternative(
 
     Runs ``config.sweeps`` single-pass recursions, each over an
     independently shuffled copy of the data with step weights
-    ``(t+1)**-decay``, and averages the resulting mixing weights and mass
-    estimates. The passes advance together, one step over all of them at
-    a time. Deterministic given ``seed``.
+    ``(t+1)**-DECAY_EXPONENT``, starting from the mass ``INIT_PI1``, and
+    averages the resulting mixing weights and mass estimates. The passes
+    advance together, one step over all of them at a time. Deterministic
+    given ``seed``.
 
     Returns
     -------
@@ -197,7 +187,7 @@ def estimate_alternative(
     expo = -0.5 / config.kernel_sd ** 2
 
     rng = np.random.default_rng(seed)
-    t_weights = (np.arange(1, n + 1) + 1.0) ** (-config.weight_decay_exponent)
+    t_weights = (np.arange(1, n + 1) + 1.0) ** (-DECAY_EXPONENT)
 
     # one shuffled order per pass, drawn in pass order; row t holds the
     # z-value (and its null density) that each pass visits at step t
@@ -208,7 +198,7 @@ def estimate_alternative(
 
     # within-alternative cell masses, from a uniform guess on the span
     mass = np.tile(trapw / trapw.sum(), (sweeps, 1))
-    pi1 = np.full(sweeps, config.init_pi1)
+    pi1 = np.full(sweeps, INIT_PI1)
     kern = np.empty((sweeps, m))  # unnormalized kernel, then the update factor
     kern_dot_mass = np.empty(sweeps)
     for t in range(n):

@@ -103,8 +103,8 @@ class NetworkParams:
         return {
             "format": _FORMAT_TAG,
             "config": asdict(self.config),
-            "weights": [[[float(x) for x in row] for row in w] for w in self.weights],
-            "biases": [[float(x) for x in b] for b in self.biases],
+            "weights": [w.tolist() for w in self.weights],
+            "biases": [b.tolist() for b in self.biases],
         }
 
     @classmethod

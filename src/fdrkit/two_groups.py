@@ -38,7 +38,12 @@ from .aux_adjust import (
     fit_bivariate_ols,
 )
 from .baselines import DiscoverySet
-from .data_model import CovariateScaling, HypothesisTable, standardize_covariates
+from .data_model import (
+    CovariateScaling,
+    HypothesisTable,
+    _frozen,
+    standardize_covariates,
+)
 from .densities import (
     DENSITY_FLOOR,
     MixtureDensity,
@@ -82,10 +87,8 @@ def _lambda_grid(grid_size: int):
     log_1m = 2.0 * np.log(np.cos(s))
     lam = np.sin(s) ** 2
     base = np.log(dt) - 0.5 * (log_lam + log_1m)
-    logs = np.ascontiguousarray(np.vstack((log_lam, log_1m)))
-    for arr in (lam, base, logs):
-        arr.flags.writeable = False
-    return lam, base, logs
+    logs = np.vstack((log_lam, log_1m))
+    return _frozen(lam), _frozen(base), _frozen(logs)
 
 
 def _cell_masses(a: np.ndarray, b: np.ndarray, grid_size: int):
@@ -227,6 +230,13 @@ class TrainingConfig:
             raise DomainError("invalid lambda_grid_size or f0_scale")
         if self.adjust_mode not in ADJUST_MODES:
             raise DomainError(f"unknown adjust_mode {self.adjust_mode!r}")
+        self.recursion  # RecursionConfig checks the f1 settings
+
+    @property
+    def recursion(self) -> RecursionConfig:
+        """The settings of the alternative-density estimator."""
+        return RecursionConfig(sweeps=self.f1_sweeps,
+                               kernel_sd=self.f1_kernel_sd)
 
 
 def _net_input(variant: str, table: HypothesisTable) -> np.ndarray:
@@ -264,12 +274,8 @@ class FittedModel:
             "f0": {"loc": self.f0_loc, "scale": self.f0_scale},
             "f1": self.f1.to_dict(),
             "pi1_hat": self.pi1_hat,
-            "scaling": None if self.scaling is None else {
-                "x_center": [float(v) for v in self.scaling.x_center],
-                "x_scale": [float(v) for v in self.scaling.x_scale],
-                "a_center": [float(v) for v in self.scaling.a_center],
-                "a_scale": [float(v) for v in self.scaling.a_scale],
-            },
+            "scaling": (None if self.scaling is None
+                        else self.scaling.to_dict()),
             "adjust_mode": self.adjust_mode,
             "adjust_seed": self.adjust_seed,
             "train_config": self.train_config,
@@ -282,13 +288,6 @@ class FittedModel:
     def from_dict(cls, d: dict) -> "FittedModel":
         if d.get("format") != MODEL_FORMAT_TAG:
             raise DomainError(f"unsupported model format {d.get('format')!r}")
-        scaling = None
-        if d["scaling"] is not None:
-            s = d["scaling"]
-            scaling = CovariateScaling(
-                x_center=np.array(s["x_center"]), x_scale=np.array(s["x_scale"]),
-                a_center=np.array(s["a_center"]), a_scale=np.array(s["a_scale"]),
-            )
         return cls(
             variant=d["variant"],
             net_params=NetworkParams.from_dict(d["network"]),
@@ -297,7 +296,8 @@ class FittedModel:
             f0_loc=d["f0"]["loc"], f0_scale=d["f0"]["scale"],
             f1=MixtureDensity.from_dict(d["f1"]),
             pi1_hat=d["pi1_hat"],
-            scaling=scaling,
+            scaling=(None if d["scaling"] is None
+                     else CovariateScaling.from_dict(d["scaling"])),
             adjust_mode=d["adjust_mode"],
             adjust_seed=d["adjust_seed"],
             train_config=d["train_config"],
@@ -312,8 +312,13 @@ class FittedModel:
 
     @classmethod
     def load(cls, path) -> "FittedModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a model file; a malformed one raises ``DomainError``."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls.from_dict(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise DomainError(f"{path}: not a valid model file "
+                              f"({type(err).__name__}: {err})") from None
 
 
 def _floored_f0(z, loc, scale):
@@ -346,10 +351,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
         work, scaling = standardize_covariates(table)
 
     f1, pi1_hat = estimate_alternative(
-        work.z,
-        config=RecursionConfig(sweeps=config.f1_sweeps,
-                               kernel_sd=config.f1_kernel_sd),
-        seed=s_density,
+        work.z, config=config.recursion, seed=s_density,
         f0_loc=config.f0_loc, f0_scale=config.f0_scale,
     )
 
@@ -413,12 +415,9 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
                 break
 
     params = best_params
-    a_raw, b_raw = forward(params, X_in)
-    a_raw, b_raw = np.atleast_1d(a_raw), np.atleast_1d(b_raw)
-
     regression = None
     if work.q > 0 and config.apply_stage2:
-        regression = fit_bivariate_ols(work.Xa, a_raw, b_raw)
+        regression = fit_bivariate_ols(work.Xa, *forward(params, X_in))
 
     return FittedModel(
         variant=variant,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fdrkit import (
+    BetaParams,
     DomainError,
     InsufficientDataError,
     RegressionFit,
@@ -159,3 +160,30 @@ class TestAdjust:
         assert back.mu_a == fit.mu_a
         np.testing.assert_array_equal(back.delta_b, fit.delta_b)
         np.testing.assert_array_equal(back.sigma, fit.sigma)
+
+
+class TestRecordsCopyTheirInputs:
+    """A record holds read-only copies; the caller's arrays stay as they
+    were, writeable, and a later write to them leaves the record alone."""
+
+    def test_regression_fit(self):
+        da, db = np.array([0.5, -1.0]), np.array([2.0, 0.25])
+        S = np.array([[1.0, 0.2], [0.2, 0.5]])
+        before = [arr.copy() for arr in (da, db, S)]
+        fit = RegressionFit(mu_a=0.1, mu_b=-0.2, delta_a=da, delta_b=db,
+                            sigma=S, q=2)
+        for arr, orig in zip((da, db, S), before):
+            assert arr.flags.writeable
+            np.testing.assert_array_equal(arr, orig)
+            arr[...] = 9.0
+        for held, orig in zip((fit.delta_a, fit.delta_b, fit.sigma), before):
+            assert not held.flags.writeable
+            np.testing.assert_array_equal(held, orig)
+
+    def test_beta_params(self):
+        a, b = np.array([1.5, 2.0]), np.array([3.0, 0.5])
+        bp = BetaParams(a=a, b=b)
+        assert a.flags.writeable and b.flags.writeable
+        a[0], b[0] = 7.0, 7.0
+        assert (bp.a[0], bp.b[0]) == (1.5, 3.0)
+        assert not (bp.a.flags.writeable or bp.b.flags.writeable)

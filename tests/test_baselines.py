@@ -46,7 +46,23 @@ class TestZToPvalue:
         assert out[1] == pytest.approx(out[2])
 
 
+def _assert_caller_array_untouched(arr, before, record_view):
+    """``arr`` is writeable and unchanged, and writing it later leaves
+    ``record_view()``, the record's copy, as it was."""
+    assert arr.flags.writeable
+    np.testing.assert_array_equal(arr, before)
+    held = record_view().copy()
+    arr[...] = 0
+    np.testing.assert_array_equal(record_view(), held)
+
+
 class TestBH:
+    def test_caller_pvalues_stay_writeable(self):
+        p = np.array([0.001, 0.5, 0.002, 0.9])
+        ds = bh(p, alpha=0.05)
+        _assert_caller_array_untouched(p, [0.001, 0.5, 0.002, 0.9],
+                                       lambda: ds.scores)
+
     def test_hand_example(self):
         ds = bh([0.01, 0.02, 0.2, 0.9], alpha=0.05)
         assert set(ds.rejected.tolist()) == {0, 1}
@@ -85,6 +101,12 @@ class TestBH:
 
 
 class TestStoreyBH:
+    def test_caller_pvalues_stay_writeable(self):
+        p = np.array([0.001, 0.5, 0.002, 0.9])
+        ds = storey_bh(p, alpha=0.05)
+        _assert_caller_array_untouched(p, [0.001, 0.5, 0.002, 0.9],
+                                       lambda: ds.scores)
+
     def test_pi0_clips_to_one(self):
         p = [0.01, 0.2, 0.6, 0.8, 0.9]
         # #{p > 0.5} = 3, (1 - 0.5) * 5 = 2.5 -> pi0 = 1, identical to bh
@@ -136,6 +158,15 @@ class TestDiscoverySet:
             DiscoverySet(rejected=[1, 0], scores=[0.1, 0.2], alpha=0.1, method="x")
         with pytest.raises(DomainError):
             DiscoverySet(rejected=[0], scores=[0.1], alpha=1.5, method="x")
+
+    def test_caller_arrays_stay_writeable(self):
+        r = np.array([0, 2], dtype=np.int64)
+        scores = np.array([0.01, 0.7, 0.02])
+        ds = DiscoverySet(rejected=r, scores=scores, alpha=0.1, method="x")
+        assert not (ds.rejected.flags.writeable or ds.scores.flags.writeable)
+        _assert_caller_array_untouched(r, [0, 2], lambda: ds.rejected)
+        _assert_caller_array_untouched(scores, [0.01, 0.7, 0.02],
+                                       lambda: ds.scores)
 
     def test_csv_export(self, tmp_path):
         ds = bh([0.001, 0.5, 0.002], alpha=0.05)

@@ -105,6 +105,26 @@ class TestFit:
         assert "lr, epochs and batch_size must be positive" in res.output
         assert not (tmp_path / "m.json").exists()
 
+    def test_invalid_f1_flag_usage_error(self, runner, tmp_path):
+        table, _ = simulate(runner, tmp_path)
+        res = runner.invoke(main, ["fit", "--in", str(table), "--out",
+                                   str(tmp_path / "m.json"), "--f1-sweeps",
+                                   "0"])
+        assert res.exit_code == 2, res.output
+        assert "sweeps must be >= 1" in res.output
+        assert not (tmp_path / "m.json").exists()
+
+
+def _one_line_error(args):
+    """Run the CLI in its own process, check that it printed no traceback,
+    and return its exit code and the lines of its stderr."""
+    src = str(Path(fdrkit.__file__).parents[1])
+    res = subprocess.run([sys.executable, "-m", "fdrkit.cli", *args],
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert "Traceback" not in res.stderr
+    return res.returncode, res.stderr.strip().splitlines()
+
 
 class TestDiscover:
     def test_bh_on_null_z(self, runner, tmp_path):
@@ -120,16 +140,34 @@ class TestDiscover:
     def test_table_that_is_not_utf8_is_a_one_line_error(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("id,z,x0\nr1,1.0,0.5\ncafé,2.0,1.5\n".encode("latin-1"))
-        src = str(Path(fdrkit.__file__).parents[1])
-        res = subprocess.run(
-            [sys.executable, "-m", "fdrkit.cli", "discover", "--in", str(path),
-             "--method", "bh", "--out", str(tmp_path / "d.csv")],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src})
-        assert res.returncode == 1
-        assert "Traceback" not in res.stderr
-        assert res.stderr.strip() == (
-            f"Error: {path}: not UTF-8 text, byte 0xe9 at offset 22")
+        code, lines = _one_line_error([
+            "discover", "--in", str(path), "--method", "bh", "--out",
+            str(tmp_path / "d.csv")])
+        assert code == 1
+        assert lines == [
+            f"Error: {path}: not UTF-8 text, byte 0xe9 at offset 22"]
+
+    @pytest.mark.parametrize("spoil", [
+        lambda d: "{not json",
+        lambda d: json.dumps({k: v for k, v in d.items() if k != "variant"}),
+        lambda d: json.dumps({**d, "f1": {**d["f1"], "weights": ["x"]}}),
+    ], ids=["not_json", "missing_key", "non_numeric_weights"])
+    def test_malformed_model_is_a_one_line_error(self, runner, tmp_path,
+                                                  spoil):
+        table, _ = simulate(runner, tmp_path)
+        model_path = tmp_path / "m.json"
+        res = runner.invoke(main, ["fit", "--in", str(table), "--out",
+                                   str(model_path), *FAST_FIT])
+        assert res.exit_code == 0, res.output
+        model_path.write_text(spoil(json.loads(model_path.read_text())))
+        code, lines = _one_line_error([
+            "discover", "--in", str(table), "--model", str(model_path),
+            "--out", str(tmp_path / "d.csv")])
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith(
+            f"Error: {model_path}: not a valid model file (")
+        assert not (tmp_path / "d.csv").exists()
 
     def test_alpha_out_of_range(self, runner, tmp_path):
         table, _ = simulate(runner, tmp_path)
@@ -254,6 +292,19 @@ class TestBenchmark:
                                    "--out-dir", str(out_dir)])
         assert res.exit_code == 2, res.output
         assert "lr, epochs and batch_size must be positive" in res.output
+        assert "running" not in res.output
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("methods", ["bh", "neurt_a"])
+    def test_invalid_f1_flag_rejected_up_front(self, runner, tmp_path,
+                                               methods):
+        out_dir = tmp_path / "b"
+        res = runner.invoke(main, ["benchmark", "--methods", methods,
+                                   "--seeds", "0", "--n", "400",
+                                   "--f1-sweeps", "0", "--out-dir",
+                                   str(out_dir)])
+        assert res.exit_code == 2, res.output
+        assert "sweeps must be >= 1" in res.output
         assert "running" not in res.output
         assert not out_dir.exists()
 

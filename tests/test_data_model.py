@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fdrkit import (
+    CovariateScaling,
     HypothesisTable,
     InsufficientDataError,
     SchemaError,
@@ -406,6 +407,40 @@ class TestValidation:
     def test_scalar_row_is_one_row_table(self):
         t = HypothesisTable(z=1.5, X=[[1.0]], Xa=None, h_truth=1)
         assert (t.n, t.z.shape, t.h_truth.shape) == (1, (1,), (1,))
+
+
+class TestCovariateScaling:
+    FIELDS = ("x_center", "x_scale", "a_center", "a_scale")
+
+    def test_caller_arrays_stay_writeable(self):
+        given = [np.array([0.5, -1.0]), np.array([2.0, 1.0]), np.array([3.0]),
+                 np.array([4.0])]
+        before = [arr.copy() for arr in given]
+        scaling = CovariateScaling(*given)
+        for arr, orig in zip(given, before):
+            assert arr.flags.writeable
+            np.testing.assert_array_equal(arr, orig)
+            arr[...] = 9.0
+        for name, orig in zip(self.FIELDS, before):
+            held = getattr(scaling, name)
+            assert not held.flags.writeable
+            np.testing.assert_array_equal(held, orig)
+
+    def test_dict_round_trip(self):
+        rng = np.random.default_rng(4)
+        t = HypothesisTable(z=rng.standard_normal(20),
+                            X=rng.standard_normal((20, 3)) * 5 + 1,
+                            Xa=rng.standard_normal((20, 2)))
+        _, scaling = standardize_covariates(t)
+        d = scaling.to_dict()
+        assert set(d) == set(self.FIELDS)
+        assert all(type(v) is list for v in d.values())
+        back = CovariateScaling.from_dict(d)
+        for name in self.FIELDS:
+            np.testing.assert_array_equal(getattr(back, name),
+                                          getattr(scaling, name))
+            assert not getattr(back, name).flags.writeable
+        np.testing.assert_array_equal(back.apply(t).X, scaling.apply(t).X)
 
 
 class TestStandardize:

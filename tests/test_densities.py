@@ -61,7 +61,7 @@ class TestMixtureDensity:
     def test_invariants_enforced(self):
         for weights in ([0.5, -0.1, 0.6], [0.5, np.nan, 0.5],
                         [0.5, np.inf, 0.5], [0.5, 0.5, 0.5],
-                        [0.2, 0.2, 0.2], []):
+                        [0.2, 0.2, 0.2], [], 1.0, [[0.5, 0.5]]):
             with pytest.raises(DomainError, match="weights"):
                 MixtureDensity(lo=0.0, step=0.5, sd=1.0,
                                weights=np.array(weights, dtype=np.float64))
@@ -74,6 +74,7 @@ class TestMixtureDensity:
     def test_weights_copied_and_read_only(self):
         w = np.array([0.25, 0.75])
         d = MixtureDensity(lo=0.0, step=1.0, sd=1.0, weights=w)
+        assert w.flags.writeable
         w[0] = 5.0
         assert d.weights[0] == 0.25
         with pytest.raises(ValueError):
@@ -219,12 +220,12 @@ def _reference_alternative(z, centers, step, config, seed, f0_loc=0.0,
     kern_norm = 1.0 / (config.kernel_sd * math.sqrt(2.0 * math.pi))
 
     rng = np.random.default_rng(seed)
-    t_weights = (np.arange(1, n + 1) + 1.0) ** (-config.weight_decay_exponent)
+    t_weights = (np.arange(1, n + 1) + 1.0) ** -0.67
 
     masses, pi1s = [], []
     for _ in range(config.sweeps):
         order = rng.permutation(n)
-        pi1 = config.init_pi1
+        pi1 = 0.1
         mass = trapw / trapw.sum()
         for t, idx in enumerate(order):
             d = (z[idx] - centers) / config.kernel_sd

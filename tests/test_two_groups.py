@@ -325,6 +325,37 @@ class TestOneForwardPass:
         assert per_batch and set(per_batch) == {1}
 
 
+class TestAllRowPass:
+    """``train`` runs the network over every row only to fit Stage II;
+    the loss passes cover the training or the validation rows."""
+
+    @pytest.fixture
+    def all_row_calls(self, monkeypatch):
+        """Rows of each ``forward`` call that ``train`` makes."""
+        rows = []
+        raw = two_groups.forward
+
+        def counting(params, x):
+            rows.append(np.shape(x)[0])
+            return raw(params, x)
+
+        monkeypatch.setattr(two_groups, "forward", counting)
+        return rows
+
+    @pytest.mark.parametrize("stage2, q", [(False, 2), (True, 0)],
+                             ids=["no_stage2", "q_zero"])
+    def test_no_all_row_forward_without_stage2(self, all_row_calls, stage2,
+                                               q):
+        base = generate(scenario_config("A", seed=6, n=300))
+        table = type(base)(z=base.z, X=base.X, Xa=base.Xa[:, :q],
+                           h_truth=base.h_truth)
+        model = train(table, TrainingConfig(seed=6, epochs=2, f1_sweeps=2,
+                                            apply_stage2=stage2),
+                      variant="neurt_a")
+        assert model.regression is None
+        assert all_row_calls and table.n not in all_row_calls
+
+
 class TestSelectDiscoveries:
     def test_hand_example_all_three(self):
         ds = select_discoveries([0.99, 0.95, 0.8], alpha=0.1)
@@ -448,6 +479,13 @@ class TestTrain:
         for key in ("network", "train_log", "regression"):
             assert first[key] == second[key]
 
+    @pytest.mark.parametrize("kw", [{"f1_sweeps": 0},
+                                    {"f1_kernel_sd": 0.0},
+                                    {"f1_kernel_sd": -1.0}])
+    def test_f1_settings_checked_with_the_config(self, kw):
+        with pytest.raises(DomainError, match="sweeps must be >= 1"):
+            TrainingConfig(**kw)
+
     def test_unknown_variant(self, small_fit):
         table, config, _ = small_fit
         with pytest.raises(DomainError):
@@ -511,6 +549,36 @@ class TestModelIO:
         d["format"] = "fdrkit-model-v1"
         with pytest.raises(DomainError, match="unsupported model format"):
             FittedModel.from_dict(d)
+
+    def test_loaded_scaling_is_read_only(self, small_fit, tmp_path):
+        _, _, model = small_fit
+        path = tmp_path / "m.json"
+        model.save(path)
+        loaded = FittedModel.load(path).scaling
+        for name in ("x_center", "x_scale", "a_center", "a_scale"):
+            assert not getattr(model.scaling, name).flags.writeable
+            assert not getattr(loaded, name).flags.writeable
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(model.scaling, name))
+
+    @pytest.mark.parametrize("spoil, cause", [
+        (lambda d: "{not json", "JSONDecodeError"),
+        (lambda d: json.dumps({k: v for k, v in d.items()
+                               if k != "variant"}), "KeyError: 'variant'"),
+        (lambda d: json.dumps({**d, "f1": {**d["f1"], "weights": ["x"]}}),
+         "ValueError"),
+        (lambda d: "[]", "AttributeError"),
+    ], ids=["not_json", "missing_key", "non_numeric_weights",
+            "not_an_object"])
+    def test_malformed_file_names_the_file(self, small_fit, tmp_path, spoil,
+                                           cause):
+        _, _, model = small_fit
+        path = tmp_path / "bad.json"
+        path.write_text(spoil(model.to_dict()))
+        with pytest.raises(DomainError) as info:
+            FittedModel.load(path)
+        assert str(info.value).startswith(f"{path}: not a valid model file")
+        assert cause in str(info.value)
 
     def test_f1_stored_as_mixture(self, small_fit):
         _, _, model = small_fit
