@@ -31,11 +31,13 @@ class DiscoverySet:
     method: str
 
     def __post_init__(self):
-        # ndmin=0: a scalar is no vector, as before
+        # ndmin=0: a scalar is no vector, and is refused below
         r = _frozen(self.rejected, dtype=np.int64, ndmin=0)
         s = _frozen(self.scores, ndmin=0)
         object.__setattr__(self, "rejected", r)
         object.__setattr__(self, "scores", s)
+        if r.ndim != 1 or s.ndim != 1:
+            raise DomainError("rejected and scores must be 1-d vectors")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError("alpha must lie in (0, 1)")
         n = s.shape[0]

@@ -253,16 +253,18 @@ def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
     """Apply a rejection procedure and write discoveries plus a report."""
     t0 = time.perf_counter()
     try:
-        table = load_table(in_path)
+        # the model comes first: it says which covariate blocks to parse
         seed = None
         if method == "neurt":
             if model_path is None:
                 raise click.UsageError("--method neurt requires --model")
             model = FittedModel.load(model_path)
+            table = load_table(in_path, blocks=model.covariate_blocks)
             w = posteriors(model, table)
             ds = select_discoveries(w, alpha)
             seed = model.train_config.get("seed")
         else:
+            table = load_table(in_path, blocks=())
             ds = _run_baseline(method, table, alpha, sidedness, lambda0)
         ds.write_csv(out, ids=table.ids)
     except FdrkitError as e:

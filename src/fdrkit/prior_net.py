@@ -144,8 +144,9 @@ def _as_batch(params: NetworkParams, x) -> tuple[np.ndarray, bool]:
     if single:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
+        got = x.shape[-1] if x.ndim else 0  # a scalar or None has none
         raise ShapeError(
-            f"input has {x.shape[-1]} features, network expects "
+            f"input has {got} features, network expects "
             f"{params.config.input_dim}"
         )
     return x, single

@@ -39,6 +39,7 @@ from .aux_adjust import (
 )
 from .baselines import DiscoverySet
 from .data_model import (
+    COVARIATE_BLOCKS,
     CovariateScaling,
     HypothesisTable,
     _frozen,
@@ -265,6 +266,14 @@ class FittedModel:
     k: int
     q: int
 
+    @property
+    def covariate_blocks(self) -> tuple[str, ...]:
+        """The table blocks scoring reads: ``Xa`` for the Stage II
+        regression, otherwise the network's input (see ``_net_input``)."""
+        if self.regression is not None:
+            return ("Xa",)
+        return ("X",) if self.variant == "neurt_a" else COVARIATE_BLOCKS
+
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT_TAG,
@@ -342,6 +351,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}")
+    table.require(*COVARIATE_BLOCKS)
     seeds = np.random.SeedSequence(config.seed).generate_state(5)
     s_density, s_split, s_init, s_batch, s_adjust = (int(s) for s in seeds)
 
@@ -445,13 +455,14 @@ def beta_params_for(model: FittedModel, table: HypothesisTable) -> BetaParams:
 
     With a Stage II regression the parameters come from it and ``Xa``
     alone, so the network is not run; without one they are the
-    network's outputs.
+    network's outputs. The table needs only ``model.covariate_blocks``.
     """
     if table.k != model.k or table.q != model.q:
         raise ShapeError(
             f"table has (k={table.k}, q={table.q}), model was fitted on "
             f"(k={model.k}, q={model.q})"
         )
+    table.require(*model.covariate_blocks)
     work = model.scaling.apply(table) if model.scaling is not None else table
     if model.regression is not None:
         return adjust(model.regression, work.Xa,

@@ -159,6 +159,17 @@ class TestDiscoverySet:
         with pytest.raises(DomainError):
             DiscoverySet(rejected=[0], scores=[0.1], alpha=1.5, method="x")
 
+    @pytest.mark.parametrize("rejected,scores", [
+        ([[0, 1]], [0.1, 0.2]),
+        ([0], [[0.1, 0.2]]),
+        (0, [0.1, 0.2]),
+        ([0], 0.1),
+    ], ids=["2d_rejected", "2d_scores", "scalar_rejected", "scalar_scores"])
+    def test_non_vectors_refused(self, rejected, scores):
+        with pytest.raises(DomainError, match="1-d"):
+            DiscoverySet(rejected=rejected, scores=scores, alpha=0.1,
+                         method="x")
+
     def test_caller_arrays_stay_writeable(self):
         r = np.array([0, 2], dtype=np.int64)
         scores = np.array([0.01, 0.7, 0.02])

@@ -9,8 +9,16 @@ import pytest
 from click.testing import CliRunner
 
 import fdrkit
-from fdrkit import TrainingConfig, load_table, train
-from fdrkit.cli import main
+from fdrkit import (
+    FittedModel,
+    TrainingConfig,
+    data_model,
+    load_table,
+    posteriors,
+    select_discoveries,
+    train,
+)
+from fdrkit.cli import _run_baseline, main
 
 FAST_FIT = ["--epochs", "3", "--batch-size", "128", "--grid-size", "200",
             "--f1-sweeps", "2", "--hidden", "16,16"]
@@ -203,6 +211,142 @@ class TestDiscover:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "id,score,rejected"
         assert len(lines) == 501
+
+
+#: the model each neurt scoring case uses; the other cases are methods
+_MODEL_OF = {"neurt_a": "a", "neurt_b": "b", "neurt_a_no_stage2": "a-ns",
+             "neurt_b_no_stage2": "b-ns"}
+# a scenario-A header: id,z,x0..x9,a0,a1,h; the parser reads id last
+_Z, _X, _A, _H, _ID = [1], list(range(2, 12)), [12, 13], [14], [0]
+#: the columns each scoring case parses
+_USECOLS = {
+    "bh": _Z + _H + _ID,
+    "sbh": _Z + _H + _ID,
+    "neurt_a": _Z + _A + _H + _ID,
+    "neurt_b": _Z + _A + _H + _ID,
+    "neurt_a_no_stage2": _Z + _X + _H + _ID,
+    "neurt_b_no_stage2": _Z + _X + _A + _H + _ID,
+}
+
+
+@pytest.fixture(scope="module")
+def scored(tmp_path_factory):
+    """A scenario-A table and, per model kind, a model fitted on it."""
+    tmp = tmp_path_factory.mktemp("scored")
+    runner = CliRunner()
+    table, _ = simulate(runner, tmp)
+    models = {}
+    for kind in _MODEL_OF.values():
+        models[kind] = tmp / f"m_{kind}.json"
+        stage2 = "--no-stage2" if kind.endswith("-ns") else "--stage2"
+        res = runner.invoke(main, ["fit", "--in", str(table), "--variant",
+                                   kind[0], stage2, "--seed", "7", "--out",
+                                   str(models[kind]), *FAST_FIT])
+        assert res.exit_code == 0, res.output
+    return table, models
+
+
+def _discover(runner, scored, case, table, out):
+    flags = (["--model", str(scored[1][_MODEL_OF[case]])]
+             if case in _MODEL_OF else ["--method", case])
+    return runner.invoke(main, ["discover", "--in", str(table), *flags,
+                                "--out", str(out)])
+
+
+def _with_cell(path, dest, row, col, text):
+    """A copy of the CSV at ``path`` with one body cell replaced."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cells = lines[row].split(",")
+    cells[lines[0].strip().split(",").index(col)] = text
+    lines[row] = ",".join(cells)
+    dest.write_text("".join(lines), encoding="utf-8")
+    return dest
+
+
+class TestDiscoverParsesWhatItScores:
+    """``discover`` parses ``z``, ``h``, ``id`` and only the covariate
+    blocks its method scores with, and answers as on a full read."""
+
+    @pytest.mark.parametrize("case", _USECOLS)
+    def test_parsed_columns(self, runner, scored, tmp_path, monkeypatch,
+                            case):
+        seen = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            seen.append(list(kwargs["usecols"]))
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(data_model.np, "loadtxt", spy)
+        res = _discover(runner, scored, case, scored[0], tmp_path / "d.csv")
+        assert res.exit_code == 0, res.output
+        assert seen == [_USECOLS[case]]
+
+    @pytest.mark.parametrize("case", _USECOLS)
+    def test_output_matches_scoring_the_full_table(self, runner, scored,
+                                                   tmp_path, case):
+        out, ref = tmp_path / "d.csv", tmp_path / "ref.csv"
+        res = _discover(runner, scored, case, scored[0], out)
+        assert res.exit_code == 0, res.output
+        full = load_table(scored[0])
+        if case in _MODEL_OF:
+            model = FittedModel.load(scored[1][_MODEL_OF[case]])
+            w = posteriors(model, full)
+            ds = select_discoveries(w, 0.1)
+        else:
+            ds = _run_baseline(case, full, 0.1)
+        ds.write_csv(ref, ids=full.ids)
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("bad", ["oops", "0.5\x1c"],
+                             ids=["loadtxt_pass", "per_cell_loop"])
+    def test_bad_cell_in_a_covariate_it_does_not_score(self, runner, scored,
+                                                       tmp_path, bad):
+        table = _with_cell(scored[0], tmp_path / "bad.csv", 2, "x3", bad)
+        error = "Error: non-numeric value in row 3, column 'x3'"
+        res = runner.invoke(main, ["fit", "--in", str(table), "--out",
+                                   str(tmp_path / "m.json"), *FAST_FIT])
+        assert res.exit_code == 1 and error in res.output
+        for case in _USECOLS:
+            out, clean = tmp_path / f"{case}.csv", tmp_path / "clean.csv"
+            res = _discover(runner, scored, case, table, out)
+            if case.endswith("no_stage2"):
+                assert res.exit_code == 1 and error in res.output, case
+                assert not out.exists()
+            else:
+                assert res.exit_code == 0, res.output
+                _discover(runner, scored, case, scored[0], clean)
+                assert out.read_bytes() == clean.read_bytes(), case
+
+    @pytest.mark.parametrize("drop,layout", [("x9", "k=9, q=2"),
+                                             ("a1", "k=10, q=1")])
+    def test_layout_mismatch_is_refused(self, runner, scored, tmp_path, drop,
+                                        layout):
+        lines = scored[0].read_text(encoding="utf-8").splitlines()
+        j = lines[0].split(",").index(drop)
+        table = tmp_path / "t.csv"
+        table.write_text("".join(
+            ",".join(c for i, c in enumerate(line.split(",")) if i != j) + "\n"
+            for line in lines), encoding="utf-8")
+        for case in ("neurt_a", "neurt_b_no_stage2"):
+            out = tmp_path / "d.csv"
+            res = _discover(runner, scored, case, table, out)
+            assert res.exit_code == 1
+            assert (f"Error: table has ({layout}), model was fitted on "
+                    f"(k=10, q=2)") in res.output
+            assert not out.exists()
+
+    def test_bad_model_is_reported_before_a_bad_table(self, tmp_path):
+        table = tmp_path / "latin1.csv"
+        table.write_bytes("id,z,x0\nr1,1.0,0.5\ncafé,2.0,1.5\n"
+                          .encode("latin-1"))
+        model = tmp_path / "m.json"
+        model.write_text("{not json")
+        code, lines = _one_line_error([
+            "discover", "--in", str(table), "--model", str(model), "--out",
+            str(tmp_path / "d.csv")])
+        assert code == 1
+        assert lines[0].startswith(f"Error: {model}: not a valid model file")
 
 
 class TestConfigPrecedence:

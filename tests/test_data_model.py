@@ -1,6 +1,9 @@
 import contextlib
 import csv
 import io
+import os
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 from fdrkit import (
     CovariateScaling,
+    DomainError,
     HypothesisTable,
     InsufficientDataError,
     SchemaError,
@@ -329,6 +333,77 @@ class TestLoadTableContract:
         np.testing.assert_array_equal(t.h_truth, ref["h"])
 
 
+    @pytest.mark.parametrize("hint", [1, 64])
+    @pytest.mark.parametrize("rows", [
+        [f"r{i},{i}.5,2,3,4,{i % 2}" for i in range(40)],
+        ["r0,1,2,3,4,0", '"a\nb",1,2,3,4,0', "r2,5,6,7,8,1"],
+        ["r0,1,2,3,4,0", "r1,1_0,2,3,4,0", "r2,5,6,7,8,1"],
+    ], ids=["plain", "quoted-break", "underscore"])
+    def test_small_read_blocks_read_the_same(self, tmp_path, monkeypatch,
+                                             hint, rows):
+        """The body is read a block of lines at a time; a block boundary
+        anywhere changes nothing."""
+        want = self._load(tmp_path, rows)
+        monkeypatch.setattr(data_model, "_READ_HINT", hint)
+        got = self._load(tmp_path, rows)
+        assert got.ids == want.ids
+        for name in ("z", "X", "Xa", "h_truth"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+    def test_over_long_line_in_a_later_block_is_refused(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(data_model, "_READ_HINT", 16)
+        long_id = "r" * (csv.field_size_limit() + 1)
+        rows = [f"r{i},1,2,3,4,0" for i in range(20)] + [f"{long_id},1,2,3,4,0"]
+        with pytest.raises(TableParseError, match="t.csv, line 22: field larger"):
+            self._load(tmp_path, rows)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_is_read_once(self, tmp_path):
+        path = tmp_path / "t.fifo"
+        os.mkfifo(path)
+        stop = threading.Event()
+
+        def feed():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"{self.HEADER}\nr0,1,2,3,4,0\nr1,5,6,7,8,1\n")
+            # a reader that opens the pipe again waits for a writer for
+            # ever; opening it once more gives that reader an empty file
+            while not stop.wait(0.05):
+                with contextlib.suppress(OSError):
+                    os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            t = load_table(path)
+        finally:
+            stop.set()
+            writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert t.ids == ("r0", "r1")
+        np.testing.assert_array_equal(t.z, [1.0, 5.0])
+
+    def test_body_is_read_without_a_copy_of_the_whole_file(self, tmp_path):
+        """Only a block of lines is held at a time, so reading ``z`` alone
+        from a wide table peaks well under the file's size."""
+        k, n = 100, 4000
+        cells = ",".join(["0.123456789012345"] * k)
+        text = ",".join(["id", "z", *(f"x{j}" for j in range(k))]) + "\n"
+        text += "".join(f"r{i},{i % 7}.5,{cells}\n" for i in range(n))
+        path = _write(tmp_path, text)
+        del text
+        tracemalloc.start()
+        try:
+            t = load_table(path, blocks=())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.n == n
+        assert peak < path.stat().st_size / 2
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("q,with_h", [(0, False), (2, True), (3, False)])
     def test_write_then_load_is_identity(self, tmp_path, q, with_h):
@@ -442,6 +517,28 @@ class TestCovariateScaling:
             assert not getattr(back, name).flags.writeable
         np.testing.assert_array_equal(back.apply(t).X, scaling.apply(t).X)
 
+    def test_apply_shares_z_truth_and_ids(self):
+        rng = np.random.default_rng(5)
+        t = HypothesisTable(z=rng.standard_normal(6),
+                            X=rng.standard_normal((6, 2)),
+                            Xa=rng.standard_normal((6, 1)),
+                            h_truth=rng.integers(0, 2, 6),
+                            ids=tuple(f"r{i}" for i in range(6)))
+        out, scaling = standardize_covariates(t)
+        for scaled in (out, scaling.apply(t)):
+            assert scaled.z is t.z
+            assert scaled.h_truth is t.h_truth
+            assert scaled.ids is t.ids
+            assert not (scaled.X.flags.writeable or scaled.Xa.flags.writeable)
+
+    def test_apply_leaves_an_unread_block_unread(self, tmp_path):
+        path = _write(tmp_path, "z,x0,x1,a0\n1,2,3,4\n5,6,7,8\n9,1,2,7\n")
+        full = load_table(path)
+        _, scaling = standardize_covariates(full)
+        out = scaling.apply(load_table(path, blocks=("Xa",)))
+        assert out.X is None and (out.k, out.q) == (2, 1)
+        np.testing.assert_array_equal(out.Xa, scaling.apply(full).Xa)
+
 
 class TestStandardize:
     def test_simple_column(self):
@@ -490,3 +587,112 @@ class TestStandardize:
         t = HypothesisTable(z=[0.0], X=[[1.0]], Xa=np.empty((1, 0)))
         with pytest.raises(InsufficientDataError):
             standardize_covariates(t)
+
+
+class TestLoadBlocks:
+    """``load_table(..., blocks=...)`` parses only the covariate blocks it
+    is given, and keeps the header's widths."""
+
+    HEADER = "id,z,x0,x1,x2,x3,a0,a1,h"
+    ROWS = ["r0,0.5,1,2,3,4,5,6,0", "r1,-1.5,7,8,9,10,11,12,1",
+            "r2,2.5,13,14,15,16,17,18,1"]
+
+    def _path(self, tmp_path, x3="16"):
+        rows = [*self.ROWS[:2], self.ROWS[2].replace(",16,", f",{x3},")]
+        return _write_bytes(tmp_path, "\n".join([self.HEADER, *rows]) + "\n")
+
+    @pytest.mark.parametrize("blocks,usecols", [
+        ((), [1, 8, 0]),
+        (("X",), [1, 2, 3, 4, 5, 8, 0]),
+        (("Xa",), [1, 6, 7, 8, 0]),
+        (("X", "Xa"), [1, 2, 3, 4, 5, 6, 7, 8, 0]),
+    ])
+    def test_parses_only_the_given_blocks(self, tmp_path, monkeypatch,
+                                          blocks, usecols):
+        seen = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["usecols"])
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(data_model.np, "loadtxt", spy)
+        full = load_table(self._path(tmp_path))
+        seen.clear()
+        t = load_table(self._path(tmp_path), blocks=blocks)
+        assert seen == [usecols]
+        assert (t.n, t.k, t.q) == (3, 4, 2)
+        assert t.ids is not None and t.ids == full.ids
+        np.testing.assert_array_equal(t.z, full.z)
+        np.testing.assert_array_equal(t.h_truth, full.h_truth)
+        for name in ("X", "Xa"):
+            if name in blocks:
+                np.testing.assert_array_equal(getattr(t, name),
+                                              getattr(full, name))
+            else:
+                assert getattr(t, name) is None
+
+    @pytest.mark.parametrize("x3", ["oops", "16\x1c"],
+                             ids=["loadtxt_pass", "per_cell_loop"])
+    def test_bad_cell_in_an_unparsed_block_is_not_read(self, tmp_path, x3):
+        bad = self._path(tmp_path, x3=x3)
+        for blocks in (("X",), ("X", "Xa")):
+            with pytest.raises(TableParseError) as info:
+                load_table(bad, blocks=blocks)
+            assert str(info.value) == "non-numeric value in row 4, column 'x3'"
+        clean = load_table(_write_bytes(
+            tmp_path, "\n".join([self.HEADER, *self.ROWS]) + "\n", "c.csv"),
+            blocks=("Xa",))
+        for blocks in ((), ("Xa",)):
+            t = load_table(bad, blocks=blocks)
+            np.testing.assert_array_equal(_bits(t.z), _bits(clean.z))
+            if blocks:
+                np.testing.assert_array_equal(_bits(t.Xa), _bits(clean.Xa))
+            assert t.ids == clean.ids
+
+    def test_per_cell_loop_parses_the_same_subset(self, tmp_path):
+        fast = load_table(self._path(tmp_path), blocks=("Xa",))
+        body = "\n".join([self.HEADER, *self.ROWS]).replace("r1", "r\x1c1")
+        slow = load_table(_write_bytes(tmp_path, body + "\n", "s.csv"),
+                          blocks=("Xa",))
+        assert slow.X is None and (slow.k, slow.q) == (4, 2)
+        assert slow.ids == ("r0", "r\x1c1", "r2")
+        for name in ("z", "Xa"):
+            np.testing.assert_array_equal(_bits(getattr(slow, name)),
+                                          _bits(getattr(fast, name)))
+
+    def test_header_is_checked_in_full(self, tmp_path):
+        path = _write(tmp_path, "z,a0\n1,2\n")
+        with pytest.raises(SchemaError, match="no test-level covariate"):
+            load_table(path, blocks=())
+        path = _write(tmp_path, "z,x0\n1,2\n")
+        with pytest.raises(SchemaError, match="missing column a1"):
+            load_table(path, TableSchema(a_cols=("a1",)), blocks=())
+
+    @pytest.mark.parametrize("blocks,unknown", [(("x",), "'x'"),
+                                                ("Xa", "'a'")])
+    def test_unknown_block_is_refused(self, tmp_path, blocks, unknown):
+        with pytest.raises(DomainError, match=unknown):
+            load_table(self._path(tmp_path), blocks=blocks)
+
+    def test_unread_block_is_refused_where_it_is_needed(self, tmp_path):
+        t = load_table(self._path(tmp_path), blocks=("Xa",))
+        t.require("Xa")
+        with pytest.raises(SchemaError, match="block X,"):
+            t.require("Xa", "X")
+        with pytest.raises(SchemaError, match="block X,"):
+            write_table(t, tmp_path / "out.csv")
+        with pytest.raises(SchemaError, match="block X,"):
+            standardize_covariates(t)
+        with pytest.raises(SchemaError, match="block Xa,"):
+            standardize_covariates(load_table(self._path(tmp_path),
+                                              blocks=("X",)))
+
+    def test_widths_are_checked(self):
+        with pytest.raises(TableValidationError, match="width k"):
+            HypothesisTable(z=[0.0], X=None, Xa=None)
+        with pytest.raises(TableValidationError, match="k=2 but"):
+            HypothesisTable(z=[0.0], X=[[1.0]], Xa=None, k=2)
+        t = HypothesisTable(z=[0.0], X=None, Xa=None, k=3, q=2)
+        assert (t.X, t.Xa, t.k, t.q) == (None, None, 3, 2)
+        assert HypothesisTable(z=[0.0], X=None, Xa=None, k=1).Xa.shape == (1, 0)

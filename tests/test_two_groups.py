@@ -12,6 +12,7 @@ from fdrkit import (
     DomainError,
     NetworkConfig,
     NumericError,
+    SchemaError,
     ShapeError,
     TrainingConfig,
     FittedModel,
@@ -19,6 +20,7 @@ from fdrkit import (
     fdp_power,
     generate,
     init_network,
+    load_table,
     marginal_likelihood,
     nll_loss,
     posterior_alt,
@@ -26,6 +28,7 @@ from fdrkit import (
     scenario_config,
     select_discoveries,
     train,
+    write_table,
 )
 from fdrkit import prior_net, two_groups
 from fdrkit.densities import DENSITY_FLOOR, eval_density, null_pdf
@@ -653,3 +656,47 @@ class TestPosteriors:
         bad = generate(scenario_config("A", seed=6, n=50, k=3))
         with pytest.raises(ShapeError):
             posteriors(model, bad)
+
+
+class TestPartlyReadTables:
+    """A table loaded without a covariate block scores as the full table
+    where the block is not needed, and is refused by name where it is."""
+
+    @pytest.fixture()
+    def csv_path(self, small_fit, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(small_fit[0], path)
+        return path
+
+    def test_covariate_blocks(self, small_fit):
+        model = small_fit[2]
+        assert model.covariate_blocks == ("Xa",)
+        bare = dataclasses.replace(model, regression=None)
+        assert bare.covariate_blocks == ("X", "Xa")
+        assert dataclasses.replace(bare, variant="neurt_a").covariate_blocks \
+            == ("X",)
+
+    def test_scores_as_the_full_table(self, small_fit, csv_path):
+        model = small_fit[2]
+        full = load_table(csv_path)
+        for m in (model, dataclasses.replace(model, regression=None)):
+            part = load_table(csv_path, blocks=m.covariate_blocks)
+            np.testing.assert_array_equal(posteriors(m, part),
+                                          posteriors(m, full))
+
+    def test_train_needs_both_blocks(self, csv_path):
+        for missing, blocks in (("X", ("Xa",)), ("Xa", ("X",))):
+            with pytest.raises(SchemaError, match=f"block {missing},"):
+                train(load_table(csv_path, blocks=blocks),
+                      TrainingConfig(**SMALL_TRAIN))
+
+    def test_scoring_refuses_a_missing_block_by_name(self, small_fit,
+                                                     csv_path):
+        model = small_fit[2]
+        no_x = load_table(csv_path, blocks=("Xa",))
+        with pytest.raises(SchemaError, match="block X,"):
+            beta_params_for(dataclasses.replace(model, regression=None), no_x)
+        with pytest.raises(SchemaError, match="block Xa,"):
+            posteriors(model, load_table(csv_path, blocks=("X",)))
+        with pytest.raises(ShapeError):
+            prior_net.forward(model.net_params, no_x.X)
