@@ -25,7 +25,7 @@ ADJUST_MODES = ("mean", "sample")
 _RIDGE = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionFit(Record):
     """Bivariate least-squares fit of (log a', log b') on [1, Xa]."""
 
@@ -51,7 +51,7 @@ class RegressionFit(Record):
             raise DomainError("sigma must be positive semidefinite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaParams:
     """Final per-test Beta parameters."""
 

@@ -16,7 +16,7 @@ from .data_model import _frozen
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscoverySet:
     """Result of a rejection procedure.
 

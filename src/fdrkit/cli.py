@@ -152,9 +152,8 @@ def main():
 @_config_file_option
 def simulate(scenario, seed, n_override, out):
     """Draw a synthetic hypothesis table with ground-truth labels."""
-    overrides = {"n": n_override} if n_override else {}
     try:
-        cfg = scenario_config(scenario, seed=seed, **overrides)
+        cfg = scenario_config(scenario, seed=seed, n=n_override)
     except FdrkitError as e:
         raise click.UsageError(str(e))
     table = generate(cfg)
@@ -293,8 +292,7 @@ def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
 
 def _benchmark_cell(method, seed, scenario, n_override, alpha, hidden,
                     config):
-    overrides = {"n": n_override} if n_override else {}
-    table = generate(scenario_config(scenario, seed=seed, **overrides))
+    table = generate(scenario_config(scenario, seed=seed, n=n_override))
     t0 = time.perf_counter()
     if method in _BASELINES:
         ds = _run_baseline(method, table, alpha)
@@ -315,12 +313,15 @@ def _benchmark_cell(method, seed, scenario, n_override, alpha, hidden,
 
 def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
-    if not text:
-        return []
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi)))
-    return [int(s) for s in text.split(",")]
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return list(range(int(lo), int(hi)))
+        return [int(s) for s in text.split(",")] if text else []
+    except ValueError:
+        raise click.UsageError(
+            f"--seeds {text!r} is neither lo:hi (half-open) nor a "
+            f"comma-separated list of integers") from None
 
 
 def _write_histogram(path, cells, bins):
@@ -376,7 +377,7 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
                 f"{list(_BASELINES + VARIANTS)}"
             )
     try:
-        scenario_config(scenario)
+        scenario_config(scenario, n=n_override)
         config = _config_of_flags(0, train_kwargs)
     except FdrkitError as e:
         raise click.UsageError(str(e))
@@ -445,24 +446,28 @@ def report(in_path, out):
         path = os.path.join(path, "aggregate.json")
         if not os.path.exists(path):
             raise click.UsageError(f"no aggregate.json under {in_path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        agg = json.load(fh)
-    methods = agg.get("methods", {})
-    if not methods:
-        raise click.ClickException("aggregate contains no methods")
-    lines = [
-        f"scenario {agg.get('scenario')} | alpha {agg.get('alpha')} | "
-        f"seeds {len(agg.get('seeds', []))}",
-        f"{'method':<10}{'discoveries':>14}{'fdp':>12}{'power':>12}",
-    ]
-    for name in sorted(methods):
-        s = methods[name]
-        lines.append(
-            f"{name:<10}"
-            f"{s['mean_discoveries']:>9.1f} ±{s['sd_discoveries']:<4.1f}"
-            f"{s['mean_fdp']:>8.3f}"
-            f"{s['mean_power']:>12.3f}"
-        )
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            agg = json.load(fh)
+        methods = agg.get("methods", {})
+        if not methods:
+            raise click.ClickException("aggregate contains no methods")
+        lines = [
+            f"scenario {agg.get('scenario')} | alpha {agg.get('alpha')} | "
+            f"seeds {len(agg.get('seeds', []))}",
+            f"{'method':<10}{'discoveries':>14}{'fdp':>12}{'power':>12}",
+        ]
+        for name in sorted(methods):
+            s = methods[name]
+            lines.append(
+                f"{name:<10}"
+                f"{s['mean_discoveries']:>9.1f} ±{s['sd_discoveries']:<4.1f}"
+                f"{s['mean_fdp']:>8.3f}"
+                f"{s['mean_power']:>12.3f}"
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise click.ClickException(f"{path}: not a valid aggregate "
+                                   f"({type(err).__name__}: {err})") from None
     text = "\n".join(lines)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -5,22 +5,26 @@ A table holds one row per hypothesis test: the test statistic ``z``, a
 ``q``-dimensional auxiliary covariate vector, and (for simulated data)
 the ground-truth label ``h``.
 
-``load_table`` reads the file a block at a time and never holds all of
-it (a pipe, which cannot be read twice, is read into memory first).
-``csv`` splits the header, and one ``np.loadtxt`` pass reads the body as
-its lines are read: quoted fields follow ``csv``'s default dialect
-(``"a,b"``, a doubled ``""``), and numbers are converted by the routine
-behind ``float()``. Whatever that pass cannot read the same way goes
-through a per-cell ``csv`` + ``float()`` loop over the whole file, so
-every table reads as those two would read it. A blank line is an empty
-row, and so a bad cell.
+``load_table`` reads the file once, a block at a time, and never holds
+all of it (a pipe, which cannot be read twice, is read into memory
+first). ``csv`` splits the header, and one ``np.loadtxt`` pass reads the
+body as its lines are read: quoted fields follow ``csv``'s default
+dialect (``"a,b"``, a doubled ``""``), and numbers are converted by the
+routine behind ``float()``. Whatever that pass cannot read the same way
+is read again from the start by a per-cell ``csv`` + ``float()`` loop,
+also a row at a time, into the same structured array, so every table
+reads as those two would read it. A blank line is an empty row, and so
+a bad cell.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import copy
 import csv
 import io
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,7 +54,9 @@ def _frozen(a, dtype=np.float64, ndmin=1) -> np.ndarray:
     """A read-only contiguous copy; the caller's array stays writeable.
 
     Every record freezes its arrays through this, so no record shares
-    memory with its caller or makes the caller's array read-only.
+    memory with its caller or makes the caller's array read-only. Records
+    that hold arrays are declared with ``eq=False``: ``==`` is identity
+    and they hash, where a field-by-field compare of arrays would raise.
     """
     a = np.array(a, dtype=dtype, order="C", ndmin=ndmin)
     a.flags.writeable = False
@@ -75,7 +81,7 @@ class Record:
         return cls(**d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HypothesisTable:
     """Immutable container for n hypothesis tests.
 
@@ -219,7 +225,8 @@ class _Layout:
     ``parsed`` maps each covariate block to parse to its columns, in
     ``HypothesisTable`` order; ``numeric`` lists the float columns (``z``,
     the parsed blocks, then ``h``), and ``names`` adds ``id``. ``dtype``
-    is the structured row type of the one-pass read, in ``names`` order.
+    is the structured row type both parsers return, in ``names`` order;
+    it has an ``h`` and an ``id`` field when the header has the column.
     """
 
     x_cols: tuple[str, ...]
@@ -229,8 +236,6 @@ class _Layout:
     names: list
     dtype: np.dtype
     pos: dict
-    has_h: bool
-    has_id: bool
 
 
 def _layout(header: list[str], schema: TableSchema, blocks) -> _Layout:
@@ -245,16 +250,12 @@ def _layout(header: list[str], schema: TableSchema, blocks) -> _Layout:
         raise SchemaError(
             f"no test-level covariate columns found (prefix {schema.x_prefix!r})"
         )
-    for c in x_cols:
-        if c not in header:
-            raise SchemaError(f"missing column {c}")
     a_cols = schema.a_cols
     if a_cols is None:
         a_cols = _detect_prefixed(header, schema.a_prefix)
-    else:
-        for c in a_cols:
-            if c not in header:
-                raise SchemaError(f"missing column {c}")
+    missing = [c for c in (*x_cols, *a_cols) if c not in header]
+    if missing:
+        raise SchemaError(f"missing column {missing[0]}")
     has_h = schema.h_col in header
     has_id = schema.id_col in header
 
@@ -271,33 +272,45 @@ def _layout(header: list[str], schema: TableSchema, blocks) -> _Layout:
         fields.append(("id", object))
         names.append(schema.id_col)
     return _Layout(tuple(x_cols), tuple(a_cols), parsed, numeric, names,
-                   np.dtype(fields), {name: i for i, name in enumerate(header)},
-                   has_h, has_id)
+                   np.dtype(fields), {name: i for i, name in enumerate(header)})
 
 
-def _read_text(path, data: bytes) -> tuple[list[str], list[str]]:
-    """The header's cells and the body's lines of the file at ``path``,
-    whose bytes are ``data``; every way the file fails to be text raises
-    here."""
+def _header(path, reader) -> list[str]:
+    """The header's cells, the first row of the ``csv`` reader ``reader``."""
     try:
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                              newline="") as text:
-            try:
-                header = next(csv.reader(text))
-            except StopIteration:
-                raise SchemaError(f"{path}: empty file, expected a header row")
-            except csv.Error as err:
-                raise TableParseError(f"{path}, line 1: {err}") from None
-            lines = text.readlines()
-    except UnicodeDecodeError as err:
-        try:  # the wrapper decodes in chunks, so its offset is the chunk's
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            err = whole
-        raise TableParseError(f"{path}: not UTF-8 text, byte "
-                              f"{err.object[err.start]:#04x} at offset "
-                              f"{err.start}") from None
-    return header, lines
+        return next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file, expected a header row") from None
+    except csv.Error as err:
+        raise TableParseError(f"{path}, line 1: {err}") from None
+
+
+@contextlib.contextmanager
+def _text(src):
+    """The binary file ``src`` read as UTF-8 text; ``src`` stays open."""
+    text = io.TextIOWrapper(src, encoding="utf-8", newline="")
+    try:
+        yield text
+    finally:
+        text.detach()
+
+
+def _check_utf8(path, src) -> None:
+    """Raise ``TableParseError`` naming the first byte of ``src`` that is
+    not UTF-8; ``src`` is decoded from its start a block at a time."""
+    src.seek(0)
+    decoder, end = codecs.getincrementaldecoder("utf-8")(), 0
+    while True:
+        block = src.read(_READ_HINT)
+        end += len(block)
+        try:
+            decoder.decode(block, final=not block)
+        except UnicodeDecodeError as err:  # err.object: held-back bytes + block
+            raise TableParseError(
+                f"{path}: not UTF-8 text, byte {err.object[err.start]:#04x} "
+                f"at offset {end - len(err.object) + err.start}") from None
+        if not block:
+            return
 
 
 def _has_separators(fh) -> bool:
@@ -345,51 +358,40 @@ def _parse_body(text, dtype: np.dtype, usecols: list[int]):
     return cols if cols.shape[0] == counted[0] else None
 
 
-def _stream_table(fh, schema: TableSchema, blocks):
-    """The layout and the body of the seekable binary file ``fh``, read
-    by ``_parse_body`` as the file is read; None wherever ``_read_text``
-    and the per-cell loop must read the file instead, or name a fault in
-    it. ``fh`` stays open."""
-    if _has_separators(fh):
-        return None
-    fh.seek(0)
-    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-    try:
-        try:  # _read_text names a bad byte before a schema fault
-            layout = _layout(next(csv.reader(text)), schema, blocks)
-        except (StopIteration, csv.Error, SchemaError):
-            return None
-        cols = _parse_body(text, layout.dtype,
-                           [layout.pos[c] for c in layout.names])
-    except UnicodeDecodeError:  # in the header
-        return None
-    finally:
-        text.detach()
-    return None if cols is None else (layout, cols)
-
-
-def _parse_cells(path, lines: list[str], layout: _Layout, id_col: str):
-    """The body's numeric columns, one cell at a time by ``csv`` and
-    ``float()``, and its ids; the first bad cell raises."""
-    reader = csv.reader(lines)
-    try:
-        rows = list(reader)
-    except csv.Error as err:
-        raise TableParseError(
-            f"{path}, line {reader.line_num + 1}: {err}") from None
+def _parse_cells(path, text, layout: _Layout) -> np.ndarray:
+    """The body of ``text``, from its start, as the ``layout.dtype`` array
+    ``_parse_body`` returns, read one row at a time by ``csv`` and one
+    cell at a time by ``float()``; the first bad cell raises."""
+    reader = csv.reader(text)
+    next(reader)  # the header, read already
     pos, numeric = layout.pos, layout.numeric
-    values = np.empty((len(rows), len(numeric)))
     in_row_order = sorted(enumerate(numeric), key=lambda jc: pos[jc[1]])
-    for i, row in enumerate(rows):
-        for j, col in in_row_order:
-            try:
-                values[i, j] = float(row[pos[col]])
-            except (ValueError, IndexError):
-                raise TableParseError(
-                    f"non-numeric value in row {i + 2}, column {col!r}"
-                )
-    ids = tuple(r[pos[id_col]] for r in rows) if layout.has_id else None
-    return values, ids
+    id_col = layout.names[-1] if "id" in layout.dtype.names else None
+    values, cells, ids = array("d"), [0.0] * len(numeric), []
+    try:
+        for i, row in enumerate(reader, 2):
+            for j, col in in_row_order:
+                try:
+                    cells[j] = float(row[pos[col]])
+                except (ValueError, IndexError):
+                    raise TableParseError(
+                        f"non-numeric value in row {i}, column {col!r}"
+                    ) from None
+            values.extend(cells)
+            if id_col is not None:
+                if pos[id_col] >= len(row):
+                    raise TableParseError(
+                        f"no value in row {i}, column {id_col!r}")
+                ids.append(row[pos[id_col]])
+    except csv.Error as err:
+        raise TableParseError(f"{path}, line {reader.line_num}: {err}") from None
+    floats = np.dtype([(name, layout.dtype[name])
+                       for name in layout.dtype.names if name != "id"])
+    cols = np.empty(len(values) // len(numeric), layout.dtype)
+    cols[list(floats.names)] = np.frombuffer(values, floats)
+    if id_col is not None:
+        cols["id"] = ids
+    return cols
 
 
 #: the covariate blocks of a table, by their ``HypothesisTable`` names
@@ -404,9 +406,10 @@ def load_table(path, schema: TableSchema = TableSchema(), *,
     (see the module docstring). Wherever that pass fails or may read
     otherwise (a cell it cannot convert, a blank line, a quoted line
     break, a byte in ``_SEPARATORS``, a line longer than ``csv``'s field
-    limit, or bytes that are not UTF-8), the whole file is read instead,
-    and a per-cell ``csv`` + ``float()`` loop walks the cells row by row,
-    left to right, and names the first bad one.
+    limit, or bytes that are not UTF-8), the file is rewound and a
+    per-cell ``csv`` + ``float()`` loop streams the body row by row,
+    checks each row's cells left to right, and names the first bad one.
+    A byte that is not UTF-8 is named before any other fault.
 
     ``blocks`` names the covariate blocks to parse, out of ``"X"`` and
     ``"Xa"``; ``z``, ``h`` and ``id`` are always parsed. The header is
@@ -421,10 +424,10 @@ def load_table(path, schema: TableSchema = TableSchema(), *,
     SchemaError
         If a required column is absent.
     TableParseError
-        If a parsed cell is not numeric (message names row and column), a
-        line is blank, the file is not UTF-8 (message names the byte
-        offset) or a field is longer than ``csv``'s limit (message names
-        the line).
+        If a parsed cell is not numeric or a row lacks its id (message
+        names row and column), a line is blank, the file is not UTF-8
+        (message names the byte offset) or a field is longer than
+        ``csv``'s limit (message names the line).
     TableValidationError
         If parsed values violate a table invariant (e.g. h outside {0,1}).
     """
@@ -435,44 +438,33 @@ def load_table(path, schema: TableSchema = TableSchema(), *,
     with open(path, "rb") as fh:
         # a pipe cannot be read twice, so it is read once, into memory
         src = fh if fh.seekable() else io.BytesIO(fh.read())
-        streamed = _stream_table(src, schema, blocks)
-        if streamed is None:
+        try:
+            per_cell = _has_separators(src)
             src.seek(0)
-            data = src.read()
-    if streamed is not None:
-        layout, cols = streamed
-        n = cols.shape[0]
-        z = cols["z"]
-        covariates = {name: cols[name] for name in layout.parsed}
-        hvals = cols["h"] if layout.has_h else None
-        ids = tuple(cols["id"].tolist()) if layout.has_id else None
-    else:
-        header, lines = _read_text(path, data)
-        del data  # the per-cell loop needs only the lines
-        layout = _layout(header, schema, blocks)
-        values, ids = _parse_cells(path, lines, layout, schema.id_col)
-        n = values.shape[0]
-        z = values[:, 0]
-        covariates, lo = {}, 1
-        for name, block_cols in layout.parsed.items():
-            covariates[name] = values[:, lo:lo + len(block_cols)]
-            lo += len(block_cols)
-        hvals = values[:, -1] if layout.has_h else None
-
+            with _text(src) as text:
+                layout = _layout(_header(path, csv.reader(text)), schema,
+                                 blocks)
+                cols = None if per_cell else _parse_body(
+                    text, layout.dtype, [layout.pos[c] for c in layout.names])
+            if cols is None:
+                src.seek(0)
+                with _text(src) as text:
+                    cols = _parse_cells(path, text, layout)
+        except (SchemaError, TableParseError, UnicodeDecodeError):
+            _check_utf8(path, src)  # a bad byte is named before any fault
+            raise
     h = None
-    if layout.has_h:
-        if not np.all(np.isin(hvals, (0.0, 1.0))):
-            bad = int(np.flatnonzero(~np.isin(hvals, (0.0, 1.0)))[0])
+    if "h" in cols.dtype.names:
+        outside = np.flatnonzero(~np.isin(cols["h"], (0.0, 1.0)))
+        if outside.size:
             raise TableValidationError(
-                f"h value outside {{0,1}} in row {bad + 2}"
-            )
-        h = hvals.astype(np.int64)
-
-    if ids is None:
-        ids = tuple(str(i) for i in range(n))
-    return HypothesisTable(z=z, X=covariates.get("X"), Xa=covariates.get("Xa"),
-                           h_truth=h, ids=ids, k=len(layout.x_cols),
-                           q=len(layout.a_cols))
+                f"h value outside {{0,1}} in row {outside[0] + 2}")
+        h = cols["h"].astype(np.int64)
+    covariates = {name: cols[name] for name in layout.parsed}
+    ids = tuple(cols["id"].tolist()) if "id" in cols.dtype.names else ()
+    return HypothesisTable(z=cols["z"], X=covariates.get("X"),
+                           Xa=covariates.get("Xa"), h_truth=h, ids=ids,
+                           k=len(layout.x_cols), q=len(layout.a_cols))
 
 
 def write_table(table: HypothesisTable, path, schema: TableSchema = TableSchema()):
@@ -507,7 +499,7 @@ def write_table(table: HypothesisTable, path, schema: TableSchema = TableSchema(
             writer.writerows(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovariateScaling(Record):
     """Per-column centering/scaling parameters, reusable on new tables."""
 

@@ -60,7 +60,7 @@ _WEIGHT_SUM_TOL = 1e-9
 _PDF_BLOCK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureDensity(Record):
     """A Gaussian location mixture on the centers ``lo + step * j``.
 

@@ -58,14 +58,15 @@ class ScenarioConfig:
 
 
 def scenario_config(name: str, seed: int = 0, **overrides) -> ScenarioConfig:
-    """Build a named preset; extra keyword arguments override its fields."""
+    """Build a named preset; extra keyword arguments override its fields,
+    except that None keeps the preset's value."""
     key = name.upper()
     if key not in SCENARIOS:
         raise DomainError(
             f"unknown scenario {name!r}; available: {sorted(SCENARIOS)}"
         )
-    cfg = ScenarioConfig(seed=seed, **SCENARIOS[key])
-    return replace(cfg, **overrides) if overrides else cfg
+    return replace(ScenarioConfig(seed=seed, **SCENARIOS[key]),
+                   **{k: v for k, v in overrides.items() if v is not None})
 
 
 def covariate_score(X: np.ndarray) -> np.ndarray:

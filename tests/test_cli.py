@@ -61,6 +61,13 @@ class TestSimulate:
         p2, _ = simulate(runner, tmp_path, name="b.csv")
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_zero_rows_usage_error(self, runner, tmp_path):
+        out = tmp_path / "t.csv"
+        res = runner.invoke(main, ["simulate", "--n", "0", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "n >= 1" in res.output
+        assert not out.exists()
+
 
 class TestFit:
     def test_fit_writes_model(self, runner, tmp_path):
@@ -411,6 +418,24 @@ class TestBenchmark:
                                    "", "--out-dir", str(tmp_path / "b")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_bad_row_count_usage_error(self, runner, tmp_path, n):
+        out_dir = tmp_path / "b"
+        res = runner.invoke(main, ["benchmark", "--methods", "bh", "--seeds",
+                                   "0", "--n", n, "--out-dir", str(out_dir)])
+        assert res.exit_code == 2, res.output
+        assert "n >= 1" in res.output and "running" not in res.output
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("seeds", ["a", "1,,2", "3:x"])
+    def test_malformed_seeds_usage_error(self, runner, tmp_path, seeds):
+        out_dir = tmp_path / "b"
+        res = runner.invoke(main, ["benchmark", "--methods", "bh", "--seeds",
+                                   seeds, "--out-dir", str(out_dir)])
+        assert res.exit_code == 2, res.output
+        assert "lo:hi" in res.output and "comma-separated list" in res.output
+        assert not out_dir.exists()
+
     def test_unknown_method_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["benchmark", "--methods", "magic",
                                    "--seeds", "0", "--out-dir",
@@ -498,6 +523,19 @@ class TestReport:
     def test_missing_aggregate(self, runner, tmp_path):
         res = runner.invoke(main, ["report", "--in", str(tmp_path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps({"methods": {"bh": {"sd_discoveries": 0.0, "mean_fdp": 0.1,
+                                       "mean_power": 0.5}}}),
+    ], ids=["not_json", "missing_mean_discoveries"])
+    def test_malformed_aggregate_is_a_one_line_error(self, tmp_path, text):
+        path = tmp_path / "aggregate.json"
+        path.write_text(text)
+        code, lines = _one_line_error(["report", "--in", str(path)])
+        assert code == 1
+        assert len(lines) == 1
+        assert lines[0].startswith(f"Error: {path}: not a valid aggregate (")
 
 
 class TestPinnedOutputs:

@@ -403,6 +403,69 @@ class TestLoadTableContract:
         assert t.n == n
         assert peak < path.stat().st_size / 2
 
+    def test_per_cell_loop_streams_the_body(self, tmp_path, monkeypatch):
+        """A table the ``np.loadtxt`` pass declines (here for an id with a
+        quoted line break) is read a row at a time by the per-cell loop,
+        with no copy of the whole file either."""
+        k, n = 100, 4000
+        cells = ",".join(["0.123456789012345"] * k)
+        text = ",".join(["id", "z", *(f"x{j}" for j in range(k))]) + "\n"
+        text += '"r\n0",0.5,' + cells + "\n"
+        text += "".join(f"r{i},{i % 7}.5,{cells}\n" for i in range(1, n))
+        path = _write(tmp_path, text)
+        del text
+        declined = []
+        parse_body = data_model._parse_body
+
+        def spy(*args):
+            cols = parse_body(*args)
+            declined.append(cols is None)
+            return cols
+
+        monkeypatch.setattr(data_model, "_parse_body", spy)
+        tracemalloc.start()
+        try:
+            t = load_table(path, blocks=())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert declined == [True]
+        assert (t.n, t.ids[:2]) == (n, ("r\n0", "r1"))
+        assert peak < path.stat().st_size / 2
+
+    @pytest.mark.parametrize("text,offset", [
+        ("id,x0\nr1,0.5\ncafé,1.5\n", 16),
+        ("id,z,x0\nr1,oops,0.5\ncafé,2.0,1.5\n", 23),
+        ("id,z,x0\nr1\ncafé,2.0,1.5\n", 14),
+    ], ids=["after_a_missing_z", "after_a_bad_cell", "after_a_short_row"])
+    def test_bad_byte_is_named_before_any_other_fault(self, tmp_path, text,
+                                                      offset):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(TableParseError) as info:
+            load_table(path)
+        assert str(info.value) == (
+            f"{path}: not UTF-8 text, byte 0xe9 at offset {offset}")
+
+    @pytest.mark.parametrize("hint", [1, 2, 3, 64])
+    def test_bad_byte_offset_is_absolute_across_read_blocks(
+            self, tmp_path, monkeypatch, hint):
+        """Multi-byte characters split across blocks shift no offset."""
+        head = "id,z,x0\nré€𝄞,1,2\nr".encode()
+        path = tmp_path / "t.csv"
+        path.write_bytes(head + b"\xe2\x82(,1,2\n")
+        monkeypatch.setattr(data_model, "_READ_HINT", hint)
+        with pytest.raises(TableParseError) as info:
+            load_table(path)
+        assert str(info.value).endswith(
+            f"byte 0xe2 at offset {len(head)}")
+
+    def test_row_without_its_id_is_a_parse_error(self, tmp_path):
+        path = _write(tmp_path, "z,x0,id\n1,2,a\n3,4\n")
+        with pytest.raises(TableParseError) as info:
+            load_table(path)
+        assert str(info.value) == "no value in row 3, column 'id'"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("q,with_h", [(0, False), (2, True), (3, False)])
@@ -482,6 +545,28 @@ class TestValidation:
     def test_scalar_row_is_one_row_table(self):
         t = HypothesisTable(z=1.5, X=[[1.0]], Xa=None, h_truth=1)
         assert (t.n, t.z.shape, t.h_truth.shape) == (1, (1,), (1,))
+
+
+def test_records_holding_arrays_compare_by_identity_and_hash():
+    from fdrkit.aux_adjust import BetaParams, RegressionFit
+    from fdrkit.baselines import DiscoverySet
+    from fdrkit.densities import MixtureDensity
+
+    makers = [
+        lambda: HypothesisTable(z=[0.5, 1.5], X=[[1.0], [2.0]], Xa=None),
+        lambda: DiscoverySet(rejected=[1], scores=[0.5, 0.01], alpha=0.1,
+                             method="bh"),
+        lambda: BetaParams(a=[1.0, 2.0], b=[3.0, 4.0]),
+        lambda: RegressionFit(mu_a=0.0, mu_b=0.0, delta_a=[1.0, 2.0],
+                              delta_b=[3.0, 4.0], sigma=np.eye(2), q=2),
+        lambda: MixtureDensity(lo=-1.0, step=1.0, sd=1.0, weights=[0.5, 0.5]),
+        lambda: CovariateScaling(x_center=[0.0, 1.0], x_scale=[1.0, 2.0],
+                                 a_center=[], a_scale=[]),
+    ]
+    for make in makers:
+        one, other = make(), make()
+        assert one == one and one != other
+        assert hash(one) != hash(other) and len({one, one, other}) == 2
 
 
 class TestCovariateScaling:

@@ -22,6 +22,11 @@ class TestScenarioConfig:
         cfg = scenario_config("A", seed=2, n=123, k=4)
         assert (cfg.n, cfg.k) == (123, 4)
 
+    def test_none_override_keeps_the_preset_and_zero_is_refused(self):
+        assert scenario_config("A", seed=2, n=None) == scenario_config("A", seed=2)
+        with pytest.raises(DomainError, match="n >= 1"):
+            scenario_config("A", n=0)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ScenarioConfig(base_pi1=0.0)
