@@ -13,7 +13,6 @@ from .baselines import DiscoverySet, bh, storey_bh, z_to_pvalue
 from .data_model import (
     CovariateScaling,
     HypothesisTable,
-    TableSchema,
     load_table,
     standardize_covariates,
     write_table,
@@ -64,7 +63,7 @@ __all__ = [
     "__version__",
     "BetaParams", "RegressionFit", "adjust", "fit_bivariate_ols",
     "DiscoverySet", "bh", "storey_bh", "z_to_pvalue",
-    "CovariateScaling", "HypothesisTable", "TableSchema",
+    "CovariateScaling", "HypothesisTable",
     "load_table", "standardize_covariates", "write_table",
     "MixtureDensity", "RecursionConfig",
     "estimate_alternative", "eval_density", "null_pdf",

@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import asdict, replace
 
 import click
@@ -44,11 +45,15 @@ def _hash_config(d: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-def _emit(payload: dict, out_path=None):
+def _emit(payload: dict, log=None, out_path=None):
+    """Write ``payload`` to ``out_path``, if given, before printing
+    ``log`` to stderr and ``payload`` to stdout."""
     text = json.dumps(payload, sort_keys=True, indent=1)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    if log:
+        _log(log)
     click.echo(text)
 
 
@@ -136,7 +141,20 @@ def _config_of_flags(seed, flags: dict) -> TrainingConfig:
         seed=seed, **{_FIELD_OF_FLAG.get(k, k): v for k, v in flags.items()})
 
 
-@click.group()
+class _Commands(click.Group):
+    """A file a command cannot open is one ``Error:`` line, exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OSError as err:
+            if err.filename is None:  # e.g. a closed pipe on stdout
+                raise
+            raise click.ClickException(
+                f"{err.filename}: {err.strerror}") from None
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="fdrkit")
 def main():
     """Covariate-adaptive FDR control toolkit."""
@@ -166,8 +184,7 @@ def simulate(scenario, seed, n_override, out):
         "config_hash": _hash_config(asdict(cfg)),
         "out": str(out),
     }
-    _log(f"wrote {table.n} rows to {out}")
-    _emit(payload)
+    _emit(payload, f"wrote {table.n} rows to {out}")
 
 
 @main.command()
@@ -213,9 +230,8 @@ def fit(in_path, variant, seed, out, **train_kwargs):
                                      "variant": variant}),
         "out": str(out),
     }
-    _log(f"fitted {model.variant} in {seconds:.1f}s "
-         f"(best val NLL {model.train_log['best_val_nll']:.5f})")
-    _emit(payload)
+    _emit(payload, f"fitted {model.variant} in {seconds:.1f}s "
+                   f"(best val NLL {model.train_log['best_val_nll']:.5f})")
 
 
 def _run_baseline(method, table, alpha, sidedness="two_sided", lambda0=0.5):
@@ -261,7 +277,7 @@ def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
             table = load_table(in_path, blocks=model.covariate_blocks)
             w = posteriors(model, table)
             ds = select_discoveries(w, alpha)
-            seed = model.train_config.get("seed")
+            seed = model.config.seed
         else:
             table = load_table(in_path, blocks=())
             ds = _run_baseline(method, table, alpha, sidedness, lambda0)
@@ -286,8 +302,8 @@ def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
     if table.h_truth is not None:
         fdp, power, counts = fdp_power(ds, table.h_truth)
         payload.update({"fdp": fdp, "power": power, "counts": counts})
-    _log(f"{method}: {ds.n_rejected} discoveries at alpha={alpha}")
-    _emit(payload, report_path)
+    _emit(payload, f"{method}: {ds.n_rejected} discoveries at alpha={alpha}",
+          report_path)
 
 
 def _benchmark_cell(method, seed, scenario, n_override, alpha, hidden,
@@ -316,12 +332,16 @@ def _parse_seeds(text: str) -> list[int]:
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            return list(range(int(lo), int(hi)))
-        return [int(s) for s in text.split(",")] if text else []
+            seeds = list(range(int(lo), int(hi)))
+        else:
+            seeds = [int(s) for s in text.split(",")] if text else []
     except ValueError:
         raise click.UsageError(
             f"--seeds {text!r} is neither lo:hi (half-open) nor a "
             f"comma-separated list of integers") from None
+    if min(seeds, default=0) < 0:
+        raise click.UsageError(f"--seeds {text!r}: seeds must be non-negative")
+    return seeds
 
 
 def _write_histogram(path, cells, bins):
@@ -366,10 +386,13 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
     hidden = train_kwargs.pop("hidden")
     method_list = [m for m in (s.strip() for s in methods.split(",")) if m]
     seed_list = _parse_seeds(seeds)
-    if not method_list:
-        raise click.UsageError("methods list must not be empty")
-    if not seed_list:
-        raise click.UsageError("seeds list must not be empty")
+    for flag, values in (("--methods", method_list), ("--seeds", seed_list)):
+        if not values:
+            raise click.UsageError(f"{flag} list must not be empty")
+        repeated = sorted(v for v, count in Counter(values).items()
+                          if count > 1)
+        if repeated:
+            raise click.UsageError(f"{flag} repeats {repeated}")
     for m in method_list:
         if m not in _BASELINES + VARIANTS:
             raise click.UsageError(

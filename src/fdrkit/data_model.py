@@ -194,23 +194,6 @@ class HypothesisTable:
         return self.z.shape[0]
 
 
-@dataclass(frozen=True)
-class TableSchema:
-    """Column-name configuration for CSV ingestion.
-
-    When ``x_cols``/``a_cols`` are None, columns named ``x0..x{k-1}`` and
-    ``a0..a{q-1}`` (contiguous from 0) are auto-detected.
-    """
-
-    z_col: str = "z"
-    x_cols: tuple[str, ...] | None = None
-    a_cols: tuple[str, ...] | None = None
-    h_col: str = "h"
-    id_col: str = "id"
-    x_prefix: str = "x"
-    a_prefix: str = "a"
-
-
 def _detect_prefixed(header: list[str], prefix: str) -> tuple[str, ...]:
     cols = []
     while f"{prefix}{len(cols)}" in header:
@@ -222,6 +205,7 @@ def _detect_prefixed(header: list[str], prefix: str) -> tuple[str, ...]:
 class _Layout:
     """Where ``load_table`` finds each part of a table in the header.
 
+    ``k`` and ``q`` count the header's ``x*`` and ``a*`` columns.
     ``parsed`` maps each covariate block to parse to its columns, in
     ``HypothesisTable`` order; ``numeric`` lists the float columns (``z``,
     the parsed blocks, then ``h``), and ``names`` adds ``id``. ``dtype``
@@ -229,8 +213,8 @@ class _Layout:
     it has an ``h`` and an ``id`` field when the header has the column.
     """
 
-    x_cols: tuple[str, ...]
-    a_cols: tuple[str, ...]
+    k: int
+    q: int
     parsed: dict
     numeric: list
     names: list
@@ -238,40 +222,32 @@ class _Layout:
     pos: dict
 
 
-def _layout(header: list[str], schema: TableSchema, blocks) -> _Layout:
-    """Resolve the schema's columns against a header.
+def _layout(header: list[str], blocks) -> _Layout:
+    """Find the table's columns in a header.
 
-    Raises ``SchemaError`` if a required column is absent.
+    Raises ``SchemaError`` if the header lacks ``z`` or ``x0``.
     """
-    if schema.z_col not in header:
-        raise SchemaError(f"missing column {schema.z_col}")
-    x_cols = schema.x_cols or _detect_prefixed(header, schema.x_prefix)
+    if "z" not in header:
+        raise SchemaError("missing column z")
+    x_cols = _detect_prefixed(header, "x")
     if not x_cols:
         raise SchemaError(
-            f"no test-level covariate columns found (prefix {schema.x_prefix!r})"
-        )
-    a_cols = schema.a_cols
-    if a_cols is None:
-        a_cols = _detect_prefixed(header, schema.a_prefix)
-    missing = [c for c in (*x_cols, *a_cols) if c not in header]
-    if missing:
-        raise SchemaError(f"missing column {missing[0]}")
-    has_h = schema.h_col in header
-    has_id = schema.id_col in header
+            "no test-level covariate columns found (prefix 'x')")
+    a_cols = _detect_prefixed(header, "a")
 
     parsed = {name: cols for name, cols in (("X", x_cols), ("Xa", a_cols))
               if name in blocks}
-    numeric = [schema.z_col, *(c for cols in parsed.values() for c in cols)]
+    numeric = ["z", *(c for cols in parsed.values() for c in cols)]
     fields = [("z", np.float64)]
     fields += [(name, np.float64, (len(cols),)) for name, cols in parsed.items()]
-    if has_h:
+    if "h" in header:
         fields.append(("h", np.float64))
-        numeric.append(schema.h_col)
+        numeric.append("h")
     names = list(numeric)
-    if has_id:
+    if "id" in header:
         fields.append(("id", object))
-        names.append(schema.id_col)
-    return _Layout(tuple(x_cols), tuple(a_cols), parsed, numeric, names,
+        names.append("id")
+    return _Layout(len(x_cols), len(a_cols), parsed, numeric, names,
                    np.dtype(fields), {name: i for i, name in enumerate(header)})
 
 
@@ -366,7 +342,7 @@ def _parse_cells(path, text, layout: _Layout) -> np.ndarray:
     next(reader)  # the header, read already
     pos, numeric = layout.pos, layout.numeric
     in_row_order = sorted(enumerate(numeric), key=lambda jc: pos[jc[1]])
-    id_col = layout.names[-1] if "id" in layout.dtype.names else None
+    has_id = "id" in layout.dtype.names
     values, cells, ids = array("d"), [0.0] * len(numeric), []
     try:
         for i, row in enumerate(reader, 2):
@@ -378,18 +354,18 @@ def _parse_cells(path, text, layout: _Layout) -> np.ndarray:
                         f"non-numeric value in row {i}, column {col!r}"
                     ) from None
             values.extend(cells)
-            if id_col is not None:
-                if pos[id_col] >= len(row):
+            if has_id:
+                if pos["id"] >= len(row):
                     raise TableParseError(
-                        f"no value in row {i}, column {id_col!r}")
-                ids.append(row[pos[id_col]])
+                        f"no value in row {i}, column 'id'")
+                ids.append(row[pos["id"]])
     except csv.Error as err:
         raise TableParseError(f"{path}, line {reader.line_num}: {err}") from None
     floats = np.dtype([(name, layout.dtype[name])
                        for name in layout.dtype.names if name != "id"])
     cols = np.empty(len(values) // len(numeric), layout.dtype)
     cols[list(floats.names)] = np.frombuffer(values, floats)
-    if id_col is not None:
+    if has_id:
         cols["id"] = ids
     return cols
 
@@ -398,9 +374,11 @@ def _parse_cells(path, text, layout: _Layout) -> np.ndarray:
 COVARIATE_BLOCKS = ("X", "Xa")
 
 
-def load_table(path, schema: TableSchema = TableSchema(), *,
-               blocks=COVARIATE_BLOCKS) -> HypothesisTable:
+def load_table(path, *, blocks=COVARIATE_BLOCKS) -> HypothesisTable:
     """Read a hypothesis table from a headered CSV file.
+
+    The columns are ``z``, ``x0..x{k-1}`` (k >= 1), ``a0..a{q-1}`` and
+    the optional ``h`` and ``id``, in any order; others are ignored.
 
     One ``np.loadtxt`` pass reads the body a block of lines at a time
     (see the module docstring). Wherever that pass fails or may read
@@ -422,7 +400,7 @@ def load_table(path, schema: TableSchema = TableSchema(), *,
     DomainError
         If ``blocks`` names something other than ``"X"`` and ``"Xa"``.
     SchemaError
-        If a required column is absent.
+        If the header lacks ``z`` or ``x0``.
     TableParseError
         If a parsed cell is not numeric or a row lacks its id (message
         names row and column), a line is blank, the file is not UTF-8
@@ -442,8 +420,7 @@ def load_table(path, schema: TableSchema = TableSchema(), *,
             per_cell = _has_separators(src)
             src.seek(0)
             with _text(src) as text:
-                layout = _layout(_header(path, csv.reader(text)), schema,
-                                 blocks)
+                layout = _layout(_header(path, csv.reader(text)), blocks)
                 cols = None if per_cell else _parse_body(
                     text, layout.dtype, [layout.pos[c] for c in layout.names])
             if cols is None:
@@ -464,25 +441,20 @@ def load_table(path, schema: TableSchema = TableSchema(), *,
     ids = tuple(cols["id"].tolist()) if "id" in cols.dtype.names else ()
     return HypothesisTable(z=cols["z"], X=covariates.get("X"),
                            Xa=covariates.get("Xa"), h_truth=h, ids=ids,
-                           k=len(layout.x_cols), q=len(layout.a_cols))
+                           k=layout.k, q=layout.q)
 
 
-def write_table(table: HypothesisTable, path, schema: TableSchema = TableSchema()):
+def write_table(table: HypothesisTable, path):
     """Write a table as CSV so that ``load_table`` round-trips it exactly.
 
     Floats are written in shortest round-trip form; the ``h`` column is
     emitted only when truth labels are present.
     """
     table.require(*COVARIATE_BLOCKS)
-    x_cols = schema.x_cols or tuple(
-        f"{schema.x_prefix}{j}" for j in range(table.k)
-    )
-    a_cols = schema.a_cols
-    if a_cols is None:
-        a_cols = tuple(f"{schema.a_prefix}{j}" for j in range(table.q))
-    header = [schema.id_col, schema.z_col, *x_cols, *a_cols]
+    header = ["id", "z", *(f"x{j}" for j in range(table.k)),
+              *(f"a{j}" for j in range(table.q))]
     if table.h_truth is not None:
-        header.append(schema.h_col)
+        header.append("h")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

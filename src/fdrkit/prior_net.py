@@ -74,7 +74,7 @@ class NetworkConfig:
         return (self.input_dim, *self.hidden_sizes, 2)
 
 
-@dataclass
+@dataclass(eq=False)
 class NetworkParams:
     """Per-layer weight matrices (fan_in x fan_out) and bias vectors."""
 

@@ -49,6 +49,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n < 1 or self.k < 1 or self.q < 0:
             raise DomainError("need n >= 1, k >= 1, q >= 0")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
         if not 0.0 < self.base_pi1 < 1.0:
             raise DomainError("base_pi1 must lie in (0, 1)")
         if self.alt_sd <= 0:

@@ -231,6 +231,8 @@ class TrainingConfig:
             raise DomainError("invalid lambda_grid_size or f0_scale")
         if self.adjust_mode not in ADJUST_MODES:
             raise DomainError(f"unknown adjust_mode {self.adjust_mode!r}")
+        if self.seed < 0:
+            raise DomainError("seed must be non-negative")
         self.recursion  # RecursionConfig checks the f1 settings
 
     @property
@@ -247,21 +249,18 @@ def _net_input(variant: str, table: HypothesisTable) -> np.ndarray:
     return np.hstack((table.X, table.Xa))
 
 
-@dataclass
+@dataclass(eq=False)
 class FittedModel:
     """Everything needed to score new rows and reproduce a fit."""
 
     variant: str
     net_params: NetworkParams
     regression: RegressionFit | None
-    f0_loc: float
-    f0_scale: float
     f1: MixtureDensity
     pi1_hat: float
     scaling: CovariateScaling | None
-    adjust_mode: str
     adjust_seed: int
-    train_config: dict
+    config: TrainingConfig
     train_log: dict
     k: int
     q: int
@@ -280,14 +279,14 @@ class FittedModel:
             "variant": self.variant,
             "network": self.net_params.to_dict(),
             "regression": self.regression.to_dict() if self.regression else None,
-            "f0": {"loc": self.f0_loc, "scale": self.f0_scale},
+            "f0": {"loc": self.config.f0_loc, "scale": self.config.f0_scale},
             "f1": self.f1.to_dict(),
             "pi1_hat": self.pi1_hat,
             "scaling": (None if self.scaling is None
                         else self.scaling.to_dict()),
-            "adjust_mode": self.adjust_mode,
+            "adjust_mode": self.config.adjust_mode,
             "adjust_seed": self.adjust_seed,
-            "train_config": self.train_config,
+            "train_config": asdict(self.config),
             "train_log": self.train_log,
             "k": self.k,
             "q": self.q,
@@ -295,21 +294,25 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
+        """The model of a ``to_dict`` record; its ``"f0"`` and
+        ``"adjust_mode"`` must repeat its ``"train_config"``."""
         if d.get("format") != MODEL_FORMAT_TAG:
             raise DomainError(f"unsupported model format {d.get('format')!r}")
+        config = TrainingConfig(**d["train_config"])
+        if (d["f0"] != {"loc": config.f0_loc, "scale": config.f0_scale}
+                or d["adjust_mode"] != config.adjust_mode):
+            raise DomainError("f0 or adjust_mode disagree with train_config")
         return cls(
             variant=d["variant"],
             net_params=NetworkParams.from_dict(d["network"]),
             regression=(RegressionFit.from_dict(d["regression"])
                         if d["regression"] else None),
-            f0_loc=d["f0"]["loc"], f0_scale=d["f0"]["scale"],
             f1=MixtureDensity.from_dict(d["f1"]),
             pi1_hat=d["pi1_hat"],
             scaling=(None if d["scaling"] is None
                      else CovariateScaling.from_dict(d["scaling"])),
-            adjust_mode=d["adjust_mode"],
             adjust_seed=d["adjust_seed"],
-            train_config=d["train_config"],
+            config=config,
             train_log=d["train_log"],
             k=d["k"], q=d["q"],
         )
@@ -433,12 +436,10 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
         variant=variant,
         net_params=params,
         regression=regression,
-        f0_loc=config.f0_loc, f0_scale=config.f0_scale,
         f1=f1, pi1_hat=pi1_hat,
         scaling=scaling,
-        adjust_mode=config.adjust_mode,
         adjust_seed=s_adjust,
-        train_config=asdict(config),
+        config=config,
         train_log={
             "epochs": log_epochs,
             "best_epoch": best_epoch,
@@ -466,7 +467,7 @@ def beta_params_for(model: FittedModel, table: HypothesisTable) -> BetaParams:
     work = model.scaling.apply(table) if model.scaling is not None else table
     if model.regression is not None:
         return adjust(model.regression, work.Xa,
-                      mode=model.adjust_mode, seed=model.adjust_seed)
+                      mode=model.config.adjust_mode, seed=model.adjust_seed)
     a, b = forward(model.net_params, _net_input(model.variant, work))
     return BetaParams(a=np.atleast_1d(a), b=np.atleast_1d(b))
 
@@ -474,9 +475,9 @@ def beta_params_for(model: FittedModel, table: HypothesisTable) -> BetaParams:
 def posteriors(model: FittedModel, table: HypothesisTable) -> np.ndarray:
     """Posterior alternative probability for every row of the table."""
     beta = beta_params_for(model, table)
-    f0z = _floored_f0(table.z, model.f0_loc, model.f0_scale)
+    f0z = _floored_f0(table.z, model.config.f0_loc, model.config.f0_scale)
     f1z = eval_density(model.f1, table.z)
-    gs = int(model.train_config.get("lambda_grid_size", 1000))
+    gs = model.config.lambda_grid_size
     return np.atleast_1d(posterior_alt(beta.a, beta.b, f0z, f1z, grid_size=gs))
 
 

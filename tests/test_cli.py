@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -436,6 +437,21 @@ class TestBenchmark:
         assert "lo:hi" in res.output and "comma-separated list" in res.output
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("methods, seeds, repeats", [
+        ("bh", "1,1,2", "--seeds repeats [1]"),
+        ("bh,sbh", "2,0,2,0", "--seeds repeats [0, 2]"),
+        ("bh,bh", "0", "--methods repeats ['bh']"),
+    ])
+    def test_repeated_seed_or_method_usage_error(self, runner, tmp_path,
+                                                 methods, seeds, repeats):
+        out_dir = tmp_path / "b"
+        res = runner.invoke(main, ["benchmark", "--methods", methods,
+                                   "--seeds", seeds, "--n", "300",
+                                   "--out-dir", str(out_dir)])
+        assert res.exit_code == 2, res.output
+        assert repeats in res.output and "running" not in res.output
+        assert not out_dir.exists()
+
     def test_unknown_method_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["benchmark", "--methods", "magic",
                                    "--seeds", "0", "--out-dir",
@@ -536,6 +552,57 @@ class TestReport:
         assert code == 1
         assert len(lines) == 1
         assert lines[0].startswith(f"Error: {path}: not a valid aggregate (")
+
+
+class TestCommandErrors:
+    """Faults every command reports the same way, without a traceback."""
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "benchmark"])
+    def test_negative_seed_usage_error(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        args = {
+            "simulate": ["simulate", "--seed", "-1", "--out", str(out)],
+            "fit": ["fit", "--in", str(simulate(runner, tmp_path)[0]),
+                    "--seed", "-1", "--out", str(out)],
+            "benchmark": ["benchmark", "--methods", "bh", "--seeds", "-2:-1",
+                          "--out-dir", str(out)],
+        }[command]
+        code, lines = _one_line_error(args)
+        assert code == 2
+        assert "non-negative" in lines[-1]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["simulate --out", "fit --out",
+                                      "discover --out", "discover --report"])
+    def test_output_in_a_missing_directory_is_a_one_line_error(
+            self, runner, tmp_path, flag):
+        table, _ = simulate(runner, tmp_path)
+        bh = ["discover", "--in", str(table), "--method", "bh"]
+        args = {
+            "simulate --out": ["simulate", "--n", "50"],
+            "fit --out": ["fit", "--in", str(table), *FAST_FIT],
+            "discover --out": bh,
+            "discover --report": [*bh, "--out", str(tmp_path / "d.csv")],
+        }[flag]
+        path = tmp_path / "no" / "such" / "file"
+        code, lines = _one_line_error([*args, flag.split()[1], str(path)])
+        assert code == 1
+        assert lines == [f"Error: {path}: No such file or directory"]
+
+
+def test_settable_values_are_pinned():
+    """Flags of every command plus fields of every exported settings class
+    (named ``*Config`` or ``*Schema``): 86 values, none from the
+    environment, so a new setting has to change this test."""
+    flags = sum(len(command.params) for command in main.commands.values())
+    settings = [getattr(fdrkit, name) for name in fdrkit.__all__
+                if name.endswith(("Config", "Schema"))]
+    fields = sum(len(dataclasses.fields(cls)) for cls in settings)
+    assert (flags, fields) == (54, 32)
+    package = Path(fdrkit.__file__).parent
+    for source in package.glob("*.py"):
+        text = source.read_text(encoding="utf-8")
+        assert "environ" not in text and "getenv" not in text, source.name
 
 
 class TestPinnedOutputs:

@@ -16,7 +16,6 @@ from fdrkit import (
     InsufficientDataError,
     SchemaError,
     TableParseError,
-    TableSchema,
     TableValidationError,
     load_table,
     standardize_covariates,
@@ -40,11 +39,6 @@ class TestLoadTable:
         assert t.h_truth is None
         np.testing.assert_allclose(t.z, [1.0, -2.0, 0.25])
         assert t.ids == ("0", "1", "2")
-
-    def test_missing_required_column(self, tmp_path):
-        path = _write(tmp_path, "z,x0,x1\n1.0,0.5,-0.5\n")
-        with pytest.raises(SchemaError, match="a0"):
-            load_table(path, TableSchema(a_cols=("a0",)))
 
     def test_h_column(self, tmp_path):
         path = _write(tmp_path, "z,x0,h\n1.0,0.5,1\n-2.0,1.5,0\n")
@@ -750,9 +744,6 @@ class TestLoadBlocks:
         path = _write(tmp_path, "z,a0\n1,2\n")
         with pytest.raises(SchemaError, match="no test-level covariate"):
             load_table(path, blocks=())
-        path = _write(tmp_path, "z,x0\n1,2\n")
-        with pytest.raises(SchemaError, match="missing column a1"):
-            load_table(path, TableSchema(a_cols=("a1",)), blocks=())
 
     @pytest.mark.parametrize("blocks,unknown", [(("x",), "'x'"),
                                                 ("Xa", "'a'")])

@@ -590,6 +590,28 @@ class TestModelIO:
         assert (f1["lo"], f1["step"], f1["sd"]) == (-10.0, 0.1, 1.0)
         assert len(f1["weights"]) == 201
 
+    @pytest.mark.parametrize("key, value", [
+        ("f0", {"loc": 0.5, "scale": 1.0}),
+        ("f0", {"loc": 0.0, "scale": 2.0}),
+        ("adjust_mode", "sample"),
+    ])
+    def test_settings_that_disagree_with_train_config_are_refused(
+            self, small_fit, tmp_path, key, value):
+        _, _, model = small_fit
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps({**model.to_dict(), key: value}))
+        with pytest.raises(DomainError, match="disagree with train_config"):
+            FittedModel.load(path)
+
+    def test_models_and_network_params_compare_by_identity_and_hash(
+            self, small_fit):
+        _, _, model = small_fit
+        params = model.net_params
+        for one, other in ((params, params.copy()),
+                           (model, dataclasses.replace(model))):
+            assert one == one and one != other
+            assert hash(one) != hash(other) and len({one, one, other}) == 2
+
 
 class TestPosteriors:
     def test_output_shape_and_bounds(self, small_fit):
