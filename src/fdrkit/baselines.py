@@ -6,13 +6,12 @@ standard normal null.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .data_model import _frozen
+from .data_model import _csv_field, _frozen
 from .errors import DomainError
 
 
@@ -68,23 +67,6 @@ class DiscoverySet:
             fh.write("id,score,rejected\n")
             fh.writelines(f"{_csv_field(str(rid))},{s!r},{r}\n" for rid, s, r
                           in zip(ids, self.scores.tolist(), flags))
-
-
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
-
-
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted only when it must be.
-
-    A field holding a comma, a double quote or a line break is wrapped in
-    quotes with its quotes doubled, as ``csv``'s minimal quoting does.
-    ``csv`` leaves a lone carriage return unquoted when the line
-    terminator is a line feed, and ``csv.reader`` then splits the row
-    there; it is quoted here too.
-    """
-    if _NEEDS_QUOTES.search(text) is None:
-        return text
-    return '"' + text.replace('"', '""') + '"'
 
 
 def z_to_pvalue(z, sidedness: str = "two_sided"):

@@ -10,9 +10,11 @@ deterministic given its flags.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
+import stat
 import time
 from collections import Counter
 from dataclasses import asdict, replace
@@ -59,6 +61,20 @@ def _emit(payload: dict, log=None, out_path=None):
 
 def _log(msg: str):
     click.echo(msg, err=True)
+
+
+def _check_output_dirs(*paths):
+    """Before any work, raise the ``OSError`` that opening one of
+    ``paths`` (None where an output is not asked for) would raise for a
+    directory that is missing or is not a directory."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or os.curdir
+        try:
+            is_dir = stat.S_ISDIR(os.stat(folder).st_mode)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, path) from None
+        if not is_dir:
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 def _config_file_option(f):
@@ -174,6 +190,7 @@ def simulate(scenario, seed, n_override, out):
         cfg = scenario_config(scenario, seed=seed, n=n_override)
     except FdrkitError as e:
         raise click.UsageError(str(e))
+    _check_output_dirs(out)
     table = generate(cfg)
     write_table(table, out)
     payload = {
@@ -203,6 +220,7 @@ def fit(in_path, variant, seed, out, **train_kwargs):
         config = _config_of_flags(seed, train_kwargs)
     except FdrkitError as e:
         raise click.UsageError(str(e))
+    _check_output_dirs(out)
     try:
         table = load_table(in_path)
         if table.q == 0:
@@ -266,6 +284,7 @@ def _run_baseline(method, table, alpha, sidedness="two_sided", lambda0=0.5):
 def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
              report_path):
     """Apply a rejection procedure and write discoveries plus a report."""
+    _check_output_dirs(out, report_path)
     t0 = time.perf_counter()
     try:
         # the model comes first: it says which covariate blocks to parse

@@ -249,6 +249,12 @@ def _net_input(variant: str, table: HypothesisTable) -> np.ndarray:
     return np.hstack((table.X, table.Xa))
 
 
+def _fit_seeds(seed: int) -> list[int]:
+    """Seeds of a fit's density, split, initialization, batches and
+    adjustment, in that order, all derived from ``seed``."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(5)]
+
+
 @dataclass(eq=False)
 class FittedModel:
     """Everything needed to score new rows and reproduce a fit."""
@@ -257,13 +263,21 @@ class FittedModel:
     net_params: NetworkParams
     regression: RegressionFit | None
     f1: MixtureDensity
-    pi1_hat: float
     scaling: CovariateScaling | None
-    adjust_seed: int
     config: TrainingConfig
     train_log: dict
     k: int
     q: int
+
+    @property
+    def pi1_hat(self) -> float:
+        """The estimated share of alternatives, from ``train_log``."""
+        return self.train_log["pi1_hat"]
+
+    @property
+    def adjust_seed(self) -> int:
+        """Seed of the ``"sample"`` adjustment, derived from ``config.seed``."""
+        return _fit_seeds(self.config.seed)[4]
 
     @property
     def covariate_blocks(self) -> tuple[str, ...]:
@@ -273,49 +287,57 @@ class FittedModel:
             return ("Xa",)
         return ("X",) if self.variant == "neurt_a" else COVARIATE_BLOCKS
 
+    def _restated(self) -> dict:
+        """The model file's fields that restate ``config`` and
+        ``train_log``, as ``to_dict`` writes them."""
+        return {
+            "f0": {"loc": self.config.f0_loc, "scale": self.config.f0_scale},
+            "pi1_hat": self.pi1_hat,
+            "adjust_mode": self.config.adjust_mode,
+            "adjust_seed": self.adjust_seed,
+        }
+
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT_TAG,
             "variant": self.variant,
             "network": self.net_params.to_dict(),
             "regression": self.regression.to_dict() if self.regression else None,
-            "f0": {"loc": self.config.f0_loc, "scale": self.config.f0_scale},
             "f1": self.f1.to_dict(),
-            "pi1_hat": self.pi1_hat,
             "scaling": (None if self.scaling is None
                         else self.scaling.to_dict()),
-            "adjust_mode": self.config.adjust_mode,
-            "adjust_seed": self.adjust_seed,
             "train_config": asdict(self.config),
             "train_log": self.train_log,
             "k": self.k,
             "q": self.q,
+            **self._restated(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
-        """The model of a ``to_dict`` record; its ``"f0"`` and
-        ``"adjust_mode"`` must repeat its ``"train_config"``."""
+        """The model of a ``to_dict`` record; its ``"f0"``,
+        ``"adjust_mode"``, ``"adjust_seed"`` and ``"pi1_hat"`` must repeat
+        what its ``"train_config"`` and ``"train_log"`` give."""
         if d.get("format") != MODEL_FORMAT_TAG:
             raise DomainError(f"unsupported model format {d.get('format')!r}")
-        config = TrainingConfig(**d["train_config"])
-        if (d["f0"] != {"loc": config.f0_loc, "scale": config.f0_scale}
-                or d["adjust_mode"] != config.adjust_mode):
-            raise DomainError("f0 or adjust_mode disagree with train_config")
-        return cls(
+        model = cls(
             variant=d["variant"],
             net_params=NetworkParams.from_dict(d["network"]),
             regression=(RegressionFit.from_dict(d["regression"])
                         if d["regression"] else None),
             f1=MixtureDensity.from_dict(d["f1"]),
-            pi1_hat=d["pi1_hat"],
             scaling=(None if d["scaling"] is None
                      else CovariateScaling.from_dict(d["scaling"])),
-            adjust_seed=d["adjust_seed"],
-            config=config,
+            config=TrainingConfig(**d["train_config"]),
             train_log=d["train_log"],
             k=d["k"], q=d["q"],
         )
+        for key, value in model._restated().items():
+            if d[key] != value:
+                raise DomainError(
+                    f"fields that disagree with train_config and train_log: "
+                    f"{key} ({d[key]!r}, not {value!r})")
+        return model
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -355,8 +377,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {VARIANTS}")
     table.require(*COVARIATE_BLOCKS)
-    seeds = np.random.SeedSequence(config.seed).generate_state(5)
-    s_density, s_split, s_init, s_batch, s_adjust = (int(s) for s in seeds)
+    s_density, s_split, s_init, s_batch, _ = _fit_seeds(config.seed)
 
     scaling = None
     work = table
@@ -436,9 +457,8 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
         variant=variant,
         net_params=params,
         regression=regression,
-        f1=f1, pi1_hat=pi1_hat,
+        f1=f1,
         scaling=scaling,
-        adjust_seed=s_adjust,
         config=config,
         train_log={
             "epochs": log_epochs,

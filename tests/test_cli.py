@@ -19,6 +19,7 @@ from fdrkit import (
     select_discoveries,
     train,
 )
+from fdrkit import cli
 from fdrkit.cli import _run_baseline, main
 
 FAST_FIT = ["--epochs", "3", "--batch-size", "128", "--grid-size", "200",
@@ -588,6 +589,31 @@ class TestCommandErrors:
         code, lines = _one_line_error([*args, flag.split()[1], str(path)])
         assert code == 1
         assert lines == [f"Error: {path}: No such file or directory"]
+
+    @pytest.mark.parametrize("flag", ["simulate --out", "fit --out",
+                                      "discover --out", "discover --report"])
+    def test_outputs_are_checked_before_any_work(self, runner, tmp_path,
+                                                 monkeypatch, flag):
+        table, _ = simulate(runner, tmp_path)
+        called = []
+        for name in ("generate", "load_table", "train"):
+            def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                called.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        bh = ["discover", "--in", str(table), "--method", "bh"]
+        args = {
+            "simulate --out": ["simulate", "--n", "50"],
+            "fit --out": ["fit", "--in", str(table), *FAST_FIT],
+            "discover --out": [*bh, "--report", str(tmp_path / "r.json")],
+            "discover --report": [*bh, "--out", str(tmp_path / "d.csv")],
+        }[flag]
+        path = tmp_path / "no" / "such" / "file"
+        res = runner.invoke(main, [*args, flag.split()[1], str(path)])
+        assert res.exit_code == 1
+        assert f"Error: {path}: No such file or directory" in res.output
+        assert called == []
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_settable_values_are_pinned():

@@ -485,26 +485,70 @@ class TestRoundTrip:
         else:
             assert back.h_truth is None
 
+    #: name -> (n, k, q, with_h, ids, leading z values)
+    _WRITER_CASES = {
+        "block_boundary": (_WRITE_BLOCK + 3, 2, 1, True, (), ()),
+        "ids_needing_quotes": (7, 2, 1, True,
+                               ("a,b", 'say "hi"', "cr\rx", "lf\nx", "",
+                                '"', "plain"), ()),
+        "without_h": (5, 2, 1, False, (), ()),
+        "q_zero": (5, 2, 0, True, (), ()),
+        "k_one": (5, 1, 1, True, (), ()),
+        "one_row": (1, 3, 2, True, (), ()),
+        "two_blocks_and_one": (2 * _WRITE_BLOCK + 1, 2, 2, False, (), ()),
+        "extreme_floats": (6, 2, 1, True, (),
+                           (-0.0, 5e-324, 1e-05, 1e16, 1e22, -1e-300)),
+    }
+
     def test_bytes_match_row_by_row_reference(self, tmp_path):
-        """Block-wise formatting writes what a row-at-a-time loop writes,
-        across a block boundary."""
+        """Block-wise formatting writes what a row-at-a-time ``csv.writer``
+        loop writes: across block boundaries, for ids that need quotes,
+        with and without ``h`` and ``Xa``, and for extreme floats."""
         rng = np.random.default_rng(6)
-        n = _WRITE_BLOCK + 3
-        t = HypothesisTable(
-            z=rng.standard_normal(n), X=rng.standard_normal((n, 2)),
-            Xa=rng.standard_normal((n, 1)), h_truth=rng.integers(0, 2, n),
-        )
-        path = tmp_path / "blocks.csv"
-        write_table(t, path)
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref)
-        writer.writerow(["id", "z", "x0", "x1", "a0", "h"])
-        for i in range(n):
-            writer.writerow([t.ids[i], repr(float(t.z[i])),
-                             *(repr(float(v)) for v in t.X[i]),
-                             *(repr(float(v)) for v in t.Xa[i]),
-                             str(int(t.h_truth[i]))])
-        assert path.read_bytes() == ref.getvalue().encode("utf-8")
+        for name, (n, k, q, with_h, ids, head) in self._WRITER_CASES.items():
+            z = rng.standard_normal(n)
+            z[:len(head)] = head
+            t = HypothesisTable(
+                z=z, X=rng.standard_normal((n, k)),
+                Xa=rng.standard_normal((n, q)),
+                h_truth=rng.integers(0, 2, n) if with_h else None, ids=ids,
+            )
+            path = tmp_path / f"{name}.csv"
+            write_table(t, path)
+            ref = io.StringIO(newline="")
+            writer = csv.writer(ref)
+            writer.writerow(["id", "z", *(f"x{j}" for j in range(k)),
+                             *(f"a{j}" for j in range(q)),
+                             *(["h"] if with_h else [])])
+            for i in range(n):
+                writer.writerow([t.ids[i], repr(float(t.z[i])),
+                                 *(repr(float(v)) for v in t.X[i]),
+                                 *(repr(float(v)) for v in t.Xa[i]),
+                                 *([str(int(t.h_truth[i]))] if with_h else [])])
+            assert path.read_bytes() == ref.getvalue().encode("utf-8"), name
+            back = load_table(path)
+            assert back.ids == t.ids, name
+            np.testing.assert_array_equal(back.z, t.z)
+            np.testing.assert_array_equal(np.signbit(back.z), np.signbit(t.z))
+
+    def test_write_peaks_well_under_the_file_size(self, tmp_path):
+        """Only a block of rows is formatted at a time: formatting the whole
+        table at once, or blocks of thousands of rows, would peak near or
+        over the file's size."""
+        rng = np.random.default_rng(8)
+        n = 20_000
+        t = HypothesisTable(z=rng.standard_normal(n),
+                            X=rng.standard_normal((n, 10)),
+                            Xa=rng.standard_normal((n, 2)),
+                            h_truth=rng.integers(0, 2, n))
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_table(t, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 10
 
 
 class TestValidation:
@@ -535,6 +579,14 @@ class TestValidation:
             np.testing.assert_array_equal(arr, orig)
         z[0], X[0, 0], Xa[0, 0], h[0] = 9.0, 9.0, 9.0, 0
         assert (t.z[0], t.X[0, 0], t.Xa[0, 0], t.h_truth[0]) == (0.5, 1.0, 3.0, 1)
+
+    def test_ids_as_an_array(self):
+        t = HypothesisTable(z=[0.0, 1.0], X=[[1.0], [2.0]], Xa=None,
+                            ids=np.array(["a", "b"]))
+        assert t.ids == ("a", "b") and all(type(i) is str for i in t.ids)
+        with pytest.raises(TableValidationError, match="unique"):
+            HypothesisTable(z=[0.0, 1.0], X=[[1.0], [2.0]], Xa=None,
+                            ids=np.array(["a", "a"]))
 
     def test_scalar_row_is_one_row_table(self):
         t = HypothesisTable(z=1.5, X=[[1.0]], Xa=None, h_truth=1)

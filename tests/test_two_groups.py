@@ -594,6 +594,8 @@ class TestModelIO:
         ("f0", {"loc": 0.5, "scale": 1.0}),
         ("f0", {"loc": 0.0, "scale": 2.0}),
         ("adjust_mode", "sample"),
+        ("adjust_seed", 1),
+        ("pi1_hat", 0.99),
     ])
     def test_settings_that_disagree_with_train_config_are_refused(
             self, small_fit, tmp_path, key, value):
@@ -602,6 +604,12 @@ class TestModelIO:
         path.write_text(json.dumps({**model.to_dict(), key: value}))
         with pytest.raises(DomainError, match="disagree with train_config"):
             FittedModel.load(path)
+
+    def test_restated_fields_derive_from_config_and_log(self, small_fit):
+        _, config, model = small_fit
+        seeds = np.random.SeedSequence(config.seed).generate_state(5)
+        assert model.adjust_seed == int(seeds[4])
+        assert model.pi1_hat == model.train_log["pi1_hat"]
 
     def test_models_and_network_params_compare_by_identity_and_hash(
             self, small_fit):
