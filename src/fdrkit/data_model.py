@@ -20,6 +20,7 @@ a bad cell.
 from __future__ import annotations
 
 import codecs
+import collections
 import contextlib
 import copy
 import csv
@@ -227,7 +228,8 @@ class _Layout:
 def _layout(header: list[str], blocks) -> _Layout:
     """Find the table's columns in a header.
 
-    Raises ``SchemaError`` if the header lacks ``z`` or ``x0``.
+    Raises ``SchemaError`` if the header lacks ``z`` or ``x0``, or names a
+    column it uses (``z``, ``x*``, ``a*``, ``h``, ``id``) twice.
     """
     if "z" not in header:
         raise SchemaError("missing column z")
@@ -236,6 +238,11 @@ def _layout(header: list[str], blocks) -> _Layout:
         raise SchemaError(
             "no test-level covariate columns found (prefix 'x')")
     a_cols = _detect_prefixed(header, "a")
+    counts = collections.Counter(header)
+    for col in ("z", *x_cols, *a_cols, "h", "id"):
+        if counts[col] > 1:
+            raise SchemaError(
+                f"column {col!r} appears {counts[col]} times in the header")
 
     parsed = {name: cols for name, cols in (("X", x_cols), ("Xa", a_cols))
               if name in blocks}

@@ -6,15 +6,15 @@ parameterization. Forward, reverse-mode gradients and a finite-difference
 checker are implemented directly on numpy arrays; training never needs a
 framework.
 
-``backward`` takes the cache that ``_forward_cached`` returned for the
-same batch instead of recomputing it, so an SGD step runs forward once.
-
-``forward``, the pass over whole tables, runs the network in row blocks,
-so it holds one block's activations instead of every row's. A block's
-products equal the full-size products bit for bit as long as each row
-is computed by the same BLAS kernel in the same place of its tile.
-OpenBLAS runs a product of at most ``_SMALL_GEMM`` multiply-adds through
-a small-matrix kernel that rounds differently, numpy sends a one-row
+``_forward_cached`` is the one home of the arithmetic. Its cache, each
+layer's input and the output pre-activation, is all that ``backward``
+reads, so an SGD step runs forward once. ``forward``, the pass over
+whole tables, runs it one row block at a time and drops each cache, so
+it holds one block's activations instead of every row's. A block's
+products equal the full-size products bit for bit as long as each row is
+computed by the same BLAS kernel in the same place of its tile. OpenBLAS
+runs a product of at most ``_SMALL_GEMM`` multiply-adds through a
+small-matrix kernel that rounds differently, numpy sends a one-row
 product to ``gemv``, and the rows left over after the last full tile of
 a product round differently too. So each block is large enough for the
 large kernel and starts on a tile boundary, and a table too small for
@@ -155,23 +155,22 @@ def _as_batch(params: NetworkParams, x) -> tuple[np.ndarray, bool]:
 def _forward_cached(params: NetworkParams, X: np.ndarray):
     """Forward pass returning ``(a, b, cache)``, the cache for ``backward``.
 
-    ``cache`` is ``(pre, acts)``: each layer's pre-activation and input.
+    ``cache`` is ``(acts, out)``: each layer's input, ``X`` first, and
+    the output layer's pre-activation.
     """
     h = X
-    pre = []
-    acts = [X]
+    acts = []
     n_layers = len(params.weights)
-    for layer, (W, b) in enumerate(zip(params.weights, params.biases)):
-        u = h @ W + b
-        pre.append(u)
+    for layer, (W, bias) in enumerate(zip(params.weights, params.biases)):
+        acts.append(h)
+        h = h @ W
+        h += bias
         if layer < n_layers - 1:
-            h = np.maximum(u, 0.0)
-            acts.append(h)
-    out = pre[-1]
+            np.maximum(h, 0.0, out=h)
     floor = params.config.output_floor
-    a = softplus(out[:, 0]) + floor
-    b = softplus(out[:, 1]) + floor
-    return a, b, (pre, acts)
+    a = softplus(h[:, 0]) + floor
+    b = softplus(h[:, 1]) + floor
+    return a, b, (acts, h)
 
 
 def _block_edges(params: NetworkParams, n: int) -> list[int]:
@@ -191,27 +190,16 @@ def forward(params: NetworkParams, x):
     """Map covariates to a strictly positive Beta parameter pair.
 
     Accepts a single vector or an (n, input_dim) batch; returns floats
-    or a pair of arrays accordingly. Keeps no backward cache, and runs
-    the whole network in the row blocks of ``_block_edges``, so beyond
-    its inputs and outputs it holds one block's activations, whatever n.
-    The arithmetic is ``_forward_cached``'s and each row meets the same
-    BLAS kernel in the same place of its tile, so the outputs are
-    bit-identical to it (see the module docstring).
+    or a pair of arrays accordingly. Runs ``_forward_cached`` on each row
+    block of ``_block_edges`` and binds no cache, so beyond its inputs
+    and outputs it holds one block's activations, whatever n. The outputs
+    are bit-identical to one pass over every row (see the module docstring).
     """
     X, single = _as_batch(params, x)
-    floor = params.config.output_floor
     a, b = np.empty(X.shape[0]), np.empty(X.shape[0])
     edges = _block_edges(params, X.shape[0])
-    n_layers = len(params.weights)
     for lo, hi in zip(edges[:-1], edges[1:]):
-        h = X[lo:hi]
-        for layer, (W, bias) in enumerate(zip(params.weights, params.biases)):
-            h = h @ W
-            h += bias
-            if layer < n_layers - 1:
-                np.maximum(h, 0.0, out=h)
-        a[lo:hi] = softplus(h[:, 0]) + floor
-        b[lo:hi] = softplus(h[:, 1]) + floor
+        a[lo:hi], b[lo:hi] = _forward_cached(params, X[lo:hi])[:2]
     if single:
         return float(a[0]), float(b[0])
     return a, b
@@ -225,7 +213,9 @@ def backward(params: NetworkParams, x, grad_a, grad_b, cache) -> NetworkParams:
     mean_i upstream_i * d(outputs_i)/d(theta), i.e. the gradient of a
     mean-reduced loss when the upstream terms are per-example.
     ``cache`` is what ``_forward_cached(params, x)`` returned for this
-    batch; a cache built from other rows raises ``ShapeError``.
+    batch. A hidden layer's input is a ReLU's output, positive exactly
+    where the ReLU passes gradient; a cache of other rows raises
+    ``ShapeError``.
     """
     X, _ = _as_batch(params, x)
     ga = np.asarray(grad_a, dtype=np.float64).ravel()
@@ -234,12 +224,11 @@ def backward(params: NetworkParams, x, grad_a, grad_b, cache) -> NetworkParams:
         raise ShapeError("upstream gradient length must match the batch")
     if not (np.all(np.isfinite(ga)) and np.all(np.isfinite(gb))):
         raise NumericError("non-finite upstream gradient")
-    pre, acts = cache
+    acts, out = cache
     if not np.array_equal(acts[0], X):
         raise ShapeError("forward cache was built from a different batch")
 
     B = X.shape[0]
-    out = pre[-1]
     # d softplus(u)/du = sigmoid(u); the floor is an additive constant
     delta = np.column_stack((ga * expit(out[:, 0]), gb * expit(out[:, 1])))
 
@@ -249,7 +238,7 @@ def backward(params: NetworkParams, x, grad_a, grad_b, cache) -> NetworkParams:
         weights[layer] = acts[layer].T @ delta / B
         biases[layer] = delta.mean(axis=0)
         if layer > 0:
-            delta = (delta @ params.weights[layer].T) * (pre[layer - 1] > 0.0)
+            delta = (delta @ params.weights[layer].T) * (acts[layer] > 0.0)
     return NetworkParams(config=params.config, weights=weights, biases=biases)
 
 

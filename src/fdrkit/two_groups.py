@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -221,6 +222,15 @@ class TrainingConfig:
     f1_sweeps: int = 10
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or
+                                    not isinstance(value, numbers.Integral)):
+                raise DomainError(f"{f.name} must be an integer, not {value!r}")
+            if f.type == "float" and not (isinstance(value, numbers.Real)
+                                          and math.isfinite(value)):
+                raise DomainError(
+                    f"{f.name} must be a finite number, not {value!r}")
         if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise DomainError("lr, epochs and batch_size must be positive")
         if self.weight_decay < 0 or not 0.0 <= self.momentum < 1.0:
@@ -320,6 +330,9 @@ class FittedModel:
         what its ``"train_config"`` and ``"train_log"`` give."""
         if d.get("format") != MODEL_FORMAT_TAG:
             raise DomainError(f"unsupported model format {d.get('format')!r}")
+        if d["variant"] not in VARIANTS:
+            raise DomainError(f"variant must be one of {VARIANTS}, "
+                              f"not {d['variant']!r}")
         model = cls(
             variant=d["variant"],
             net_params=NetworkParams.from_dict(d["network"]),

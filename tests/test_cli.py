@@ -122,6 +122,20 @@ class TestFit:
         assert "lr, epochs and batch_size must be positive" in res.output
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "lr must be a finite number"),
+        ("--lr", "inf", "lr must be a finite number"),
+        ("--weight-decay", "inf", "weight_decay must be a finite number"),
+    ])
+    def test_non_finite_training_flag_usage_error(self, runner, tmp_path,
+                                                  flag, value, message):
+        table, _ = simulate(runner, tmp_path)
+        res = runner.invoke(main, ["fit", "--in", str(table), "--out",
+                                   str(tmp_path / "m.json"), flag, value])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert not (tmp_path / "m.json").exists()
+
     def test_invalid_f1_flag_usage_error(self, runner, tmp_path):
         table, _ = simulate(runner, tmp_path)
         res = runner.invoke(main, ["fit", "--in", str(table), "--out",

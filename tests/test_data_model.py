@@ -66,6 +66,24 @@ class TestLoadTable:
         t = load_table(path)
         assert t.ids == ("alpha", "beta")
 
+    @pytest.mark.parametrize("header, repeated", [
+        ("z,x0,z,id,id", "'z' appears 2"),
+        ("z,x0,x1,x0,id", "'x0' appears 2"),
+        ("z,x0,a0,a0,id", "'a0' appears 2"),
+        ("z,x0,h,h,id", "'h' appears 2"),
+        ("z,x0,id,x1,id", "'id' appears 2"),
+    ])
+    @pytest.mark.parametrize("cell", ["r", "r\x1c"])  # fast and per-cell paths
+    def test_repeated_column_refused(self, tmp_path, header, repeated, cell):
+        path = _write_bytes(tmp_path, f"{header}\n1,0,1,0,{cell}\n")
+        with pytest.raises(SchemaError, match=repeated):
+            load_table(path)
+
+    def test_repeated_ignored_column_allowed(self, tmp_path):
+        path = _write(tmp_path, "z,note,x0,note,x2,x2\n1.5,u,0.5,v,7,8\n")
+        t = load_table(path)
+        assert (t.z[0], t.X.tolist(), t.k) == (1.5, [[0.5]], 1)
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = _write(tmp_path, "id,z,x0\nsame,1.0,0.5\nsame,2.0,1.5\n")
         with pytest.raises(TableValidationError, match="unique"):

@@ -14,6 +14,7 @@ from fdrkit import (
     forward,
     grad_check,
     init_network,
+    prior_net,
     softplus,
 )
 from fdrkit.prior_net import (
@@ -177,6 +178,57 @@ class TestForwardBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < 1.25 * one_layer, (n, peak)
+
+
+class TestOnePass:
+    """``forward`` is ``_forward_cached`` run block by block, and the cache
+    holds only what ``backward`` reads."""
+
+    @staticmethod
+    def _net(k, hidden):
+        rng = np.random.default_rng(5)
+        p = init_network(NetworkConfig(input_dim=k, hidden_sizes=hidden),
+                         seed=3)
+        for bias in p.biases:
+            bias[:] = rng.uniform(-0.3, 0.3, size=bias.shape)
+        return p
+
+    def test_forward_runs_the_cached_pass_once_per_block(self, monkeypatch):
+        p = self._net(3, (200, 200))
+        raw, seen = prior_net._forward_cached, []
+
+        def spy(params, X):
+            seen.append(X)
+            return raw(params, X)
+
+        monkeypatch.setattr(prior_net, "_forward_cached", spy)
+        B = _block_edges(p, 10 ** 9)[1]
+        rng = np.random.default_rng(0)
+        for n in (1, B, 2 * B, 3 * B + 7):
+            seen.clear()
+            X = rng.standard_normal((n, 3))
+            forward(p, X)
+            edges = _block_edges(p, n)
+            assert len(seen) == len(edges) - 1, n
+            for lo, hi, block in zip(edges[:-1], edges[1:], seen):
+                np.testing.assert_array_equal(block, X[lo:hi])
+
+    @pytest.mark.parametrize("hidden", [(1,), (6, 5), (7, 4, 3)])
+    def test_cache_holds_the_layer_inputs_and_the_output(self, hidden):
+        p = self._net(4, hidden)
+        X = np.random.default_rng(1).standard_normal((9, 4))
+        a, b, cache = _forward_cached(p, X)
+        acts, out = cache
+        assert len(acts) == len(p.weights)
+        assert acts[0] is X
+        h = X
+        for layer, (W, bias) in enumerate(zip(p.weights, p.biases)):
+            np.testing.assert_array_equal(acts[layer], h)
+            u = h @ W + bias
+            h = np.maximum(u, 0.0)
+        np.testing.assert_array_equal(out, u)
+        np.testing.assert_array_equal(a, softplus(out[:, 0]) + 1.0)
+        np.testing.assert_array_equal(b, softplus(out[:, 1]) + 1.0)
 
 
 def _upstream_loss(X, ga, gb):

@@ -489,6 +489,20 @@ class TestTrain:
         with pytest.raises(DomainError, match="sweeps must be >= 1"):
             TrainingConfig(**kw)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"lr": math.nan}, "lr must be a finite number"),
+        ({"lr": math.inf}, "lr must be a finite number"),
+        ({"weight_decay": math.inf}, "weight_decay must be a finite number"),
+        ({"f0_scale": math.inf}, "f0_scale must be a finite number"),
+        ({"epochs": 2.5}, "epochs must be an integer"),
+        ({"lambda_grid_size": 300.5}, "lambda_grid_size must be an integer"),
+        ({"batch_size": True}, "batch_size must be an integer"),
+    ])
+    def test_non_finite_rates_and_non_integer_counts_refused(self, kw,
+                                                             message):
+        with pytest.raises(DomainError, match=message):
+            TrainingConfig(**kw)
+
     def test_unknown_variant(self, small_fit):
         table, config, _ = small_fit
         with pytest.raises(DomainError):
@@ -571,8 +585,10 @@ class TestModelIO:
         (lambda d: json.dumps({**d, "f1": {**d["f1"], "weights": ["x"]}}),
          "ValueError"),
         (lambda d: "[]", "AttributeError"),
+        (lambda d: json.dumps({**d, "variant": "bogus"}),
+         "DomainError: variant must be one of"),
     ], ids=["not_json", "missing_key", "non_numeric_weights",
-            "not_an_object"])
+            "not_an_object", "unknown_variant"])
     def test_malformed_file_names_the_file(self, small_fit, tmp_path, spoil,
                                            cause):
         _, _, model = small_fit
