@@ -40,6 +40,7 @@ from .two_groups import (
 )
 
 _BASELINES = ("bh", "sbh")
+_METHODS = _BASELINES + tuple(VARIANTS)
 
 
 def _hash_config(d: dict) -> str:
@@ -82,8 +83,9 @@ def _config_file_option(f):
         if value:
             with open(value, "r", encoding="utf-8") as fh:
                 loaded = json.load(fh)
-            accepted = sorted(p.name for p in ctx.command.params
-                              if p.expose_value)
+            types = {p.name: p.type for p in ctx.command.params
+                     if p.expose_value}
+            accepted = sorted(types)
             if not isinstance(loaded, dict):
                 raise click.UsageError(
                     f"--config {value} must hold a JSON object; "
@@ -93,6 +95,12 @@ def _config_file_option(f):
                 raise click.UsageError(
                     f"unknown key(s) {unknown} in --config {value}; "
                     f"accepted keys: {accepted}")
+            for key, v in loaded.items():  # click's INT would truncate v
+                if (isinstance(types[key], click.types.IntParamType)
+                        and isinstance(v, (bool, float))):
+                    raise click.UsageError(
+                        f"{key} in --config {value} must be an integer, "
+                        f"not {json.dumps(v)}")
             ctx.default_map = {**(ctx.default_map or {}), **loaded}
         return value
 
@@ -158,7 +166,8 @@ def _config_of_flags(seed, flags: dict) -> TrainingConfig:
 
 
 class _Commands(click.Group):
-    """A file a command cannot open is one ``Error:`` line, exit 1."""
+    """A file a command cannot open, or an ``FdrkitError`` once its work
+    has started, is one ``Error:`` line, exit 1."""
 
     def invoke(self, ctx):
         try:
@@ -168,6 +177,8 @@ class _Commands(click.Group):
                 raise
             raise click.ClickException(
                 f"{err.filename}: {err.strerror}") from None
+        except FdrkitError as err:
+            raise click.ClickException(str(err)) from None
 
 
 @click.group(cls=_Commands)
@@ -208,7 +219,7 @@ def simulate(scenario, seed, n_override, out):
 @click.option("--in", "in_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--variant", default="a", show_default=True,
-              type=click.Choice(["a", "b"]))
+              type=click.Choice([v.removeprefix("neurt_") for v in VARIANTS]))
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--out", required=True, type=click.Path(writable=True))
 @_training_options
@@ -221,18 +232,15 @@ def fit(in_path, variant, seed, out, **train_kwargs):
     except FdrkitError as e:
         raise click.UsageError(str(e))
     _check_output_dirs(out)
-    try:
-        table = load_table(in_path)
-        if table.q == 0:
-            _log("warning: table has no auxiliary columns; "
-                 "the Stage II adjustment will be skipped")
-        t0 = time.perf_counter()
-        model = train(table, config, variant=f"neurt_{variant}",
-                      hidden_sizes=hidden)
-        seconds = time.perf_counter() - t0
-        model.save(out)
-    except FdrkitError as e:
-        raise click.ClickException(str(e))
+    table = load_table(in_path)
+    if table.q == 0:
+        _log("warning: table has no auxiliary columns; "
+             "the Stage II adjustment will be skipped")
+    t0 = time.perf_counter()
+    model = train(table, config, variant=f"neurt_{variant}",
+                  hidden_sizes=hidden)
+    seconds = time.perf_counter() - t0
+    model.save(out)
     payload = {
         "command": "fit",
         "variant": model.variant,
@@ -252,8 +260,13 @@ def fit(in_path, variant, seed, out, **train_kwargs):
                    f"(best val NLL {model.train_log['best_val_nll']:.5f})")
 
 
-def _run_baseline(method, table, alpha, sidedness="two_sided", lambda0=0.5):
-    """Discoveries of ``bh`` or ``sbh``; ``benchmark`` runs the defaults."""
+def _discoveries(method, table, alpha, model=None, sidedness="two_sided",
+                 lambda0=0.5):
+    """The discoveries of ``method``: the step-down selection on
+    ``model``'s posteriors when a model is given, else the ``bh`` or
+    ``sbh`` baseline (``benchmark`` runs its defaults)."""
+    if model is not None:
+        return select_discoveries(posteriors(model, table), alpha)
     p = z_to_pvalue(table.z, sidedness=sidedness)
     if method == "bh":
         return bh(p, alpha)
@@ -264,7 +277,7 @@ def _run_baseline(method, table, alpha, sidedness="two_sided", lambda0=0.5):
 @click.option("--in", "in_path", required=True,
               type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", default="neurt", show_default=True,
-              type=click.Choice(["neurt", "bh", "sbh"]))
+              type=click.Choice(("neurt",) + _BASELINES))
 @click.option("--model", "model_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Fitted model JSON; required for --method neurt.")
@@ -285,24 +298,15 @@ def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
              report_path):
     """Apply a rejection procedure and write discoveries plus a report."""
     _check_output_dirs(out, report_path)
+    if method == "neurt" and model_path is None:
+        raise click.UsageError("--method neurt requires --model")
     t0 = time.perf_counter()
-    try:
-        # the model comes first: it says which covariate blocks to parse
-        seed = None
-        if method == "neurt":
-            if model_path is None:
-                raise click.UsageError("--method neurt requires --model")
-            model = FittedModel.load(model_path)
-            table = load_table(in_path, blocks=model.covariate_blocks)
-            w = posteriors(model, table)
-            ds = select_discoveries(w, alpha)
-            seed = model.config.seed
-        else:
-            table = load_table(in_path, blocks=())
-            ds = _run_baseline(method, table, alpha, sidedness, lambda0)
-        ds.write_csv(out, ids=table.ids)
-    except FdrkitError as e:
-        raise click.ClickException(str(e))
+    # the model comes first: it says which covariate blocks to parse
+    model = FittedModel.load(model_path) if method == "neurt" else None
+    table = load_table(in_path,
+                       blocks=() if model is None else model.covariate_blocks)
+    ds = _discoveries(method, table, alpha, model, sidedness, lambda0)
+    ds.write_csv(out, ids=table.ids)
     seconds = time.perf_counter() - t0
     payload = {
         "command": "discover",
@@ -311,7 +315,7 @@ def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
         "n": table.n,
         "discoveries": ds.n_rejected,
         "seconds": round(seconds, 3),
-        "seed": seed,
+        "seed": None if model is None else model.config.seed,
         "config_hash": _hash_config({
             "method": method, "alpha": alpha, "sidedness": sidedness,
             "lambda0": lambda0,
@@ -329,12 +333,11 @@ def _benchmark_cell(method, seed, scenario, n_override, alpha, hidden,
                     config):
     table = generate(scenario_config(scenario, seed=seed, n=n_override))
     t0 = time.perf_counter()
-    if method in _BASELINES:
-        ds = _run_baseline(method, table, alpha)
-    else:
+    model = None
+    if method not in _BASELINES:
         model = train(table, replace(config, seed=seed),
                       variant=method, hidden_sizes=hidden)
-        ds = select_discoveries(posteriors(model, table), alpha)
+    ds = _discoveries(method, table, alpha, model)
     seconds = time.perf_counter() - t0
     fdp, power, _ = fdp_power(ds, table.h_truth)
     return {
@@ -363,12 +366,9 @@ def _parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def _write_histogram(path, cells, bins):
+def _write_histogram(path, cells, edges):
     """Pooled z-histogram split by rejection status and truth."""
-    edges = bins
-    cols = {name: np.zeros(len(edges) - 1, dtype=np.int64)
-            for name in ("rejected_null", "rejected_alt",
-                         "accepted_null", "accepted_alt")}
+    cols = {}
     for cell in cells:
         z, rej, h = cell["z"], cell["rejected_mask"], cell["h"]
         for name, mask in (
@@ -377,14 +377,13 @@ def _write_histogram(path, cells, bins):
             ("accepted_null", ~rej & (h == 0)),
             ("accepted_alt", ~rej & (h == 1)),
         ):
-            cols[name] += np.histogram(z[mask], bins=edges)[0]
+            cols[name] = cols.get(name, 0) + np.histogram(z[mask], edges)[0]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("bin_left,bin_right,rejected_null,rejected_alt,"
-                 "accepted_null,accepted_alt\n")
-        for i in range(len(edges) - 1):
-            fh.write(f"{float(edges[i])!r},{float(edges[i + 1])!r},"
-                     f"{cols['rejected_null'][i]},{cols['rejected_alt'][i]},"
-                     f"{cols['accepted_null'][i]},{cols['accepted_alt'][i]}\n")
+        fh.write(",".join(["bin_left", "bin_right", *cols]) + "\n")
+        for lo, hi, row in zip(edges[:-1], edges[1:],
+                               np.column_stack(list(cols.values()))):
+            fh.write(",".join([repr(float(lo)), repr(float(hi)),
+                               *map(str, row)]) + "\n")
 
 
 @main.command()
@@ -413,11 +412,9 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
         if repeated:
             raise click.UsageError(f"{flag} repeats {repeated}")
     for m in method_list:
-        if m not in _BASELINES + VARIANTS:
+        if m not in _METHODS:
             raise click.UsageError(
-                f"unknown method {m!r}; available: "
-                f"{list(_BASELINES + VARIANTS)}"
-            )
+                f"unknown method {m!r}; available: {list(_METHODS)}")
     try:
         scenario_config(scenario, n=n_override)
         config = _config_of_flags(0, train_kwargs)
@@ -426,14 +423,11 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
 
     os.makedirs(out_dir, exist_ok=True)
     results = {}
-    try:
-        for m in method_list:
-            for s in seed_list:
-                _log(f"running {m} seed={s}")
-                results[(m, s)] = _benchmark_cell(
-                    m, s, scenario, n_override, alpha, hidden, config)
-    except FdrkitError as e:
-        raise click.ClickException(str(e))
+    for m in method_list:
+        for s in seed_list:
+            _log(f"running {m} seed={s}")
+            results[(m, s)] = _benchmark_cell(
+                m, s, scenario, n_override, alpha, hidden, config)
 
     per_seed_path = os.path.join(out_dir, "per_seed.csv")
     with open(per_seed_path, "w", encoding="utf-8") as fh:
@@ -469,10 +463,7 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
         }),
         "out_dir": str(out_dir),
     }
-    with open(os.path.join(out_dir, "aggregate.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-    _emit(payload)
+    _emit(payload, out_path=os.path.join(out_dir, "aggregate.json"))
 
 
 @main.command()

@@ -68,7 +68,8 @@ MODEL_FORMAT_TAG = "fdrkit-model-v2"
 _LIKELIHOOD_FLOOR = 1e-300
 _CHUNK = 1024
 
-VARIANTS = ("neurt_a", "neurt_b")
+#: the table blocks each variant's network reads, side by side
+VARIANTS = {"neurt_a": ("X",), "neurt_b": COVARIATE_BLOCKS}
 
 
 @lru_cache(maxsize=8)
@@ -253,10 +254,10 @@ class TrainingConfig:
 
 
 def _net_input(variant: str, table: HypothesisTable) -> np.ndarray:
-    """Network input rows: ``X`` for neurt_a, ``[X, Xa]`` for neurt_b."""
-    if variant == "neurt_a":
-        return table.X
-    return np.hstack((table.X, table.Xa))
+    """Network input rows: the variant's blocks, side by side; a single
+    block is passed as it is, without a copy."""
+    blocks = [getattr(table, name) for name in VARIANTS[variant]]
+    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
 def _fit_seeds(seed: int) -> list[int]:
@@ -292,10 +293,10 @@ class FittedModel:
     @property
     def covariate_blocks(self) -> tuple[str, ...]:
         """The table blocks scoring reads: ``Xa`` for the Stage II
-        regression, otherwise the network's input (see ``_net_input``)."""
+        regression, otherwise the network's input (see ``VARIANTS``)."""
         if self.regression is not None:
             return ("Xa",)
-        return ("X",) if self.variant == "neurt_a" else COVARIATE_BLOCKS
+        return VARIANTS[self.variant]
 
     def _restated(self) -> dict:
         """The model file's fields that restate ``config`` and
@@ -331,7 +332,7 @@ class FittedModel:
         if d.get("format") != MODEL_FORMAT_TAG:
             raise DomainError(f"unsupported model format {d.get('format')!r}")
         if d["variant"] not in VARIANTS:
-            raise DomainError(f"variant must be one of {VARIANTS}, "
+            raise DomainError(f"variant must be one of {tuple(VARIANTS)}, "
                               f"not {d['variant']!r}")
         model = cls(
             variant=d["variant"],
@@ -388,7 +389,7 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
     the fit (density, split, initialization, batches, adjustment) derives.
     """
     if variant not in VARIANTS:
-        raise DomainError(f"variant must be one of {VARIANTS}")
+        raise DomainError(f"variant must be one of {tuple(VARIANTS)}")
     table.require(*COVARIATE_BLOCKS)
     s_density, s_split, s_init, s_batch, _ = _fit_seeds(config.seed)
 

@@ -20,7 +20,7 @@ from fdrkit import (
     train,
 )
 from fdrkit import cli
-from fdrkit.cli import _run_baseline, main
+from fdrkit.cli import _discoveries, main
 
 FAST_FIT = ["--epochs", "3", "--batch-size", "128", "--grid-size", "200",
             "--f1-sweeps", "2", "--hidden", "16,16"]
@@ -317,7 +317,7 @@ class TestDiscoverParsesWhatItScores:
             w = posteriors(model, full)
             ds = select_discoveries(w, 0.1)
         else:
-            ds = _run_baseline(case, full, 0.1)
+            ds = _discoveries(case, full, 0.1)
         ds.write_csv(ref, ids=full.ids)
         assert out.read_bytes() == ref.read_bytes()
 
@@ -398,6 +398,35 @@ class TestConfigPrecedence:
         assert "unknown key(s) ['grid-size']" in res.output
         assert "'grid_size'" in res.output and "'in_path'" in res.output
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("command, values", [
+        ("fit", {"epochs": 2.5, "seed": 0.5}),
+        ("fit", {"epochs": 2.0}),
+        ("simulate", {"seed": 1.9}),
+        ("simulate", {"seed": True}),
+        ("benchmark", {"n_override": 400.5}),
+    ], ids=["fit_float", "fit_integral_float", "simulate_float",
+            "simulate_true", "benchmark_float"])
+    def test_non_integer_for_an_integer_flag_usage_error(
+            self, runner, tmp_path, command, values):
+        """A JSON float or bool is refused as ``--epochs 2.0`` is, not
+        truncated to an integer."""
+        out = tmp_path / "out"
+        args = {
+            "fit": ["fit", "--in", str(simulate(runner, tmp_path)[0]),
+                    "--out", str(out)],
+            "simulate": ["simulate", "--n", "50", "--out", str(out)],
+            "benchmark": ["benchmark", "--methods", "bh", "--seeds", "0",
+                          "--out-dir", str(out)],
+        }[command]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(values))
+        res = runner.invoke(main, [*args, "--config", str(cfg_path)])
+        assert res.exit_code == 2, res.output
+        key = next(iter(values))
+        assert (f"{key} in --config {cfg_path} must be an integer, "
+                f"not {json.dumps(values[key])}") in res.output
+        assert not out.exists()
 
     def test_non_object_config_usage_error(self, runner, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -587,6 +616,18 @@ class TestCommandErrors:
         assert "non-negative" in lines[-1]
         assert not out.exists()
 
+    def test_failure_inside_a_benchmark_cell_is_a_one_line_error(
+            self, tmp_path):
+        out_dir = tmp_path / "bench"
+        code, lines = _one_line_error([
+            "benchmark", "--methods", "neurt_a", "--n", "5", "--seeds", "0",
+            "--out-dir", str(out_dir)])
+        assert code == 1
+        assert [ln for ln in lines if ln.startswith("Error:")] == [
+            "Error: alternative estimation needs >= 10 values"]
+        assert lines[-1].startswith("Error:")
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["simulate --out", "fit --out",
                                       "discover --out", "discover --report"])
     def test_output_in_a_missing_directory_is_a_one_line_error(
@@ -628,6 +669,46 @@ class TestCommandErrors:
         assert f"Error: {path}: No such file or directory" in res.output
         assert called == []
         assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+class TestTracedNames:
+    """The per-layer tracer (``perfbench/layers.py``) times scoring by
+    patching these names on ``cli``, so the commands must look them up
+    there at call time, not through function objects captured earlier."""
+
+    NAMES = ("bh", "storey_bh", "z_to_pvalue", "posteriors",
+             "select_discoveries", "train", "load_table")
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+        for name in self.NAMES:
+            def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                seen.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("method, expected", [
+        ("bh", ["load_table", "z_to_pvalue", "bh"]),
+        ("sbh", ["load_table", "z_to_pvalue", "storey_bh"]),
+        ("neurt", ["load_table", "posteriors", "select_discoveries"]),
+    ])
+    def test_discover(self, runner, scored, tmp_path, calls, method,
+                      expected):
+        res = runner.invoke(main, [
+            "discover", "--in", str(scored[0]), "--method", method,
+            "--model", str(scored[1]["b"]), "--out", str(tmp_path / "d.csv")])
+        assert res.exit_code == 0, res.output
+        assert calls == expected
+
+    def test_benchmark(self, runner, tmp_path, calls):
+        res = runner.invoke(main, [
+            "benchmark", "--methods", "bh,sbh,neurt_a", "--seeds", "0",
+            "--n", "400", "--out-dir", str(tmp_path / "b"), *FAST_FIT])
+        assert res.exit_code == 0, res.output
+        assert calls == ["z_to_pvalue", "bh", "z_to_pvalue", "storey_bh",
+                         "train", "posteriors", "select_discoveries"]
 
 
 def test_settable_values_are_pinned():
