@@ -13,11 +13,13 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import multiprocessing
 import os
 import stat
 import time
 from collections import Counter
 from dataclasses import asdict, replace
+from functools import partial
 
 import click
 import numpy as np
@@ -329,8 +331,9 @@ def discover(in_path, method, model_path, alpha, sidedness, lambda0, out,
           report_path)
 
 
-def _benchmark_cell(method, seed, scenario, n_override, alpha, hidden,
-                    config):
+def _benchmark_cell(cell, scenario, n_override, alpha, hidden, config):
+    method, seed = cell
+    _log(f"running {method} seed={seed}")
     table = generate(scenario_config(scenario, seed=seed, n=n_override))
     t0 = time.perf_counter()
     model = None
@@ -347,6 +350,40 @@ def _benchmark_cell(method, seed, scenario, n_override, alpha, hidden,
         "z": table.z, "rejected_mask": ds.rejected_mask(),
         "h": table.h_truth,
     }
+
+
+def _worker_count(training_cells: int) -> int:
+    """Processes to run ``benchmark``'s cells on: one per usable CPU, at
+    most one per training cell, and 1 (this process) unless this process
+    has a single thread. That is when ``fork`` is safe, and when numpy's
+    BLAS runs one thread, so each worker does too; a pool beside a
+    multi-threaded BLAS oversubscribes the CPUs and runs slower than one
+    process."""
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+        cpus = len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):  # no /proc, or no affinity call
+        return 1
+    return max(1, min(training_cells, cpus)) if threads == 1 else 1
+
+
+def _map_cells(run, cells, workers: int) -> list:
+    """``run`` applied to each of ``cells``, in order: in this process
+    when ``workers`` is 1, else on a forked pool of ``workers`` processes
+    that is closed and joined on success, or terminated and joined
+    before a cell's error propagates."""
+    if workers == 1:
+        return list(map(run, cells))
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        results = list(pool.imap(run, cells))
+        pool.close()
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.join()
+    return results
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -422,12 +459,15 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
         raise click.UsageError(str(e))
 
     os.makedirs(out_dir, exist_ok=True)
-    results = {}
-    for m in method_list:
-        for s in seed_list:
-            _log(f"running {m} seed={s}")
-            results[(m, s)] = _benchmark_cell(
-                m, s, scenario, n_override, alpha, hidden, config)
+    cells = [(m, s) for m in method_list for s in seed_list]
+    workers = _worker_count(sum(m not in _BASELINES for m, _ in cells))
+    _log(f"running {len(cells)} cells " + (
+        f"on {workers} worker processes" if workers > 1
+        else "in this process"))
+    run = partial(_benchmark_cell, scenario=scenario, n_override=n_override,
+                  alpha=alpha, hidden=hidden, config=config)
+    results = {(r["method"], r["seed"]): r
+               for r in _map_cells(run, cells, workers)}
 
     per_seed_path = os.path.join(out_dir, "per_seed.csv")
     with open(per_seed_path, "w", encoding="utf-8") as fh:

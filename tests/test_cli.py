@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -146,15 +147,26 @@ class TestFit:
         assert not (tmp_path / "m.json").exists()
 
 
-def _one_line_error(args):
-    """Run the CLI in its own process, check that it printed no traceback,
-    and return its exit code and the lines of its stderr."""
+def _run_cli(args, **env):
+    """Run the CLI in its own process and session, with ``env`` added to
+    its environment; check that it printed no traceback and that no
+    process of its session outlives it, and return its exit code and the
+    lines of its stderr."""
     src = str(Path(fdrkit.__file__).parents[1])
-    res = subprocess.run([sys.executable, "-m", "fdrkit.cli", *args],
-                         capture_output=True, text=True, timeout=120,
-                         env={**os.environ, "PYTHONPATH": src})
-    assert "Traceback" not in res.stderr
-    return res.returncode, res.stderr.strip().splitlines()
+    with subprocess.Popen(
+            [sys.executable, "-m", "fdrkit.cli", *args],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+            env={**os.environ, "PYTHONPATH": src, **env}) as proc:
+        try:
+            _, stderr = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    with pytest.raises(ProcessLookupError):  # the session's group is empty
+        os.killpg(proc.pid, 0)
+    assert "Traceback" not in stderr
+    return proc.returncode, stderr.strip().splitlines()
 
 
 class TestDiscover:
@@ -171,7 +183,7 @@ class TestDiscover:
     def test_table_that_is_not_utf8_is_a_one_line_error(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("id,z,x0\nr1,1.0,0.5\ncafé,2.0,1.5\n".encode("latin-1"))
-        code, lines = _one_line_error([
+        code, lines = _run_cli([
             "discover", "--in", str(path), "--method", "bh", "--out",
             str(tmp_path / "d.csv")])
         assert code == 1
@@ -191,7 +203,7 @@ class TestDiscover:
                                    str(model_path), *FAST_FIT])
         assert res.exit_code == 0, res.output
         model_path.write_text(spoil(json.loads(model_path.read_text())))
-        code, lines = _one_line_error([
+        code, lines = _run_cli([
             "discover", "--in", str(table), "--model", str(model_path),
             "--out", str(tmp_path / "d.csv")])
         assert code == 1
@@ -365,7 +377,7 @@ class TestDiscoverParsesWhatItScores:
                           .encode("latin-1"))
         model = tmp_path / "m.json"
         model.write_text("{not json")
-        code, lines = _one_line_error([
+        code, lines = _run_cli([
             "discover", "--in", str(table), "--model", str(model), "--out",
             str(tmp_path / "d.csv")])
         assert code == 1
@@ -569,6 +581,77 @@ class TestBenchmark:
         assert total == 2 * 600  # two seeds pooled
 
 
+def _usable_cpus() -> int:
+    return (len(os.sched_getaffinity(0))
+            if hasattr(os, "sched_getaffinity") else 1)
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="needs 2 usable CPUs")
+class TestBenchmarkWorkers:
+    def test_pool_gives_the_in_process_answers(self, runner, tmp_path,
+                                               monkeypatch):
+        args = ["--methods", "bh,neurt_a,neurt_b", "--seeds", "0,1",
+                "--n", "400", *FAST_FIT]
+        code, lines = _run_cli(
+            ["benchmark", *args, "--out-dir", str(tmp_path / "pool")],
+            OPENBLAS_NUM_THREADS="1")
+        assert code == 0, lines
+        workers = min(4, _usable_cpus())
+        assert lines[0] == f"running 6 cells on {workers} worker processes"
+        monkeypatch.setattr(cli, "_worker_count", lambda cells: 1)
+        res = runner.invoke(main, ["benchmark", *args, "--out-dir",
+                                   str(tmp_path / "serial")])
+        assert res.exit_code == 0, res.output
+        assert "running 6 cells in this process" in res.output
+        outs = []
+        for name in ("pool", "serial"):
+            out_dir = tmp_path / name
+            agg = json.loads((out_dir / "aggregate.json").read_text())
+            del agg["out_dir"]
+            for stats in agg["methods"].values():  # wall time differs
+                del stats["mean_seconds"]
+            per_seed = [ln.rsplit(",", 1)[0] for ln in
+                        (out_dir / "per_seed.csv").read_text().splitlines()]
+            hists = [(out_dir / f"hist_{m}.csv").read_bytes()
+                     for m in ("bh", "neurt_a", "neurt_b")]
+            outs.append((agg, per_seed, hists))
+        assert outs[0] == outs[1]
+
+    def test_a_failing_cell_stops_the_pool(self, tmp_path):
+        out_dir = tmp_path / "b"
+        code, lines = _run_cli([
+            "benchmark", "--methods", "neurt_a,neurt_b", "--seeds", "0,1",
+            "--n", "5", *FAST_FIT, "--out-dir", str(out_dir)],
+            OPENBLAS_NUM_THREADS="1")
+        assert code == 1
+        assert lines[0] == (f"running 4 cells on {min(4, _usable_cpus())} "
+                            f"worker processes")
+        assert [ln for ln in lines if ln.startswith("Error:")] == [
+            "Error: alternative estimation needs >= 10 values"]
+        assert lines[-1].startswith("Error:")
+        assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("tasks, cpus, cells, expected", [
+    (["1", "2", "3"], 2, 4, 1),  # a multi-threaded BLAS: no fork
+    (["1"], 2, 4, 2),
+    (["1"], 8, 4, 4),
+    (["1"], 2, 1, 1),  # one training cell stays in this process
+    (["1"], 2, 0, 1),
+    (None, 2, 4, 1),  # no /proc
+])
+def test_worker_count(monkeypatch, tasks, cpus, cells, expected):
+    def listdir(path):
+        assert path == "/proc/self/task"
+        if tasks is None:
+            raise FileNotFoundError(path)
+        return tasks
+    monkeypatch.setattr(cli.os, "listdir", listdir)
+    monkeypatch.setattr(cli.os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    assert cli._worker_count(cells) == expected
+
+
 class TestReport:
     def test_renders_table(self, runner, tmp_path):
         out_dir = tmp_path / "bench"
@@ -592,7 +675,7 @@ class TestReport:
     def test_malformed_aggregate_is_a_one_line_error(self, tmp_path, text):
         path = tmp_path / "aggregate.json"
         path.write_text(text)
-        code, lines = _one_line_error(["report", "--in", str(path)])
+        code, lines = _run_cli(["report", "--in", str(path)])
         assert code == 1
         assert len(lines) == 1
         assert lines[0].startswith(f"Error: {path}: not a valid aggregate (")
@@ -611,7 +694,7 @@ class TestCommandErrors:
             "benchmark": ["benchmark", "--methods", "bh", "--seeds", "-2:-1",
                           "--out-dir", str(out)],
         }[command]
-        code, lines = _one_line_error(args)
+        code, lines = _run_cli(args)
         assert code == 2
         assert "non-negative" in lines[-1]
         assert not out.exists()
@@ -619,7 +702,7 @@ class TestCommandErrors:
     def test_failure_inside_a_benchmark_cell_is_a_one_line_error(
             self, tmp_path):
         out_dir = tmp_path / "bench"
-        code, lines = _one_line_error([
+        code, lines = _run_cli([
             "benchmark", "--methods", "neurt_a", "--n", "5", "--seeds", "0",
             "--out-dir", str(out_dir)])
         assert code == 1
@@ -641,7 +724,7 @@ class TestCommandErrors:
             "discover --report": [*bh, "--out", str(tmp_path / "d.csv")],
         }[flag]
         path = tmp_path / "no" / "such" / "file"
-        code, lines = _one_line_error([*args, flag.split()[1], str(path)])
+        code, lines = _run_cli([*args, flag.split()[1], str(path)])
         assert code == 1
         assert lines == [f"Error: {path}: No such file or directory"]
 
