@@ -27,14 +27,14 @@ _RIDGE = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class RegressionFit(Record):
-    """Bivariate least-squares fit of (log a', log b') on [1, Xa]."""
+    """Bivariate least-squares fit of (log a', log b') on [1, Xa]:
+    intercepts ``mu_*`` and one ``delta_*`` coefficient per column of Xa."""
 
     mu_a: float
     mu_b: float
     delta_a: np.ndarray
     delta_b: np.ndarray
     sigma: np.ndarray  # 2x2 residual covariance
-    q: int
 
     def __post_init__(self):
         da = _frozen(self.delta_a).ravel()
@@ -43,8 +43,9 @@ class RegressionFit(Record):
         object.__setattr__(self, "delta_a", da)
         object.__setattr__(self, "delta_b", db)
         object.__setattr__(self, "sigma", S)
-        if da.shape != (self.q,) or db.shape != (self.q,):
-            raise ShapeError("coefficient length must equal q")
+        if da.shape != db.shape:
+            raise ShapeError(f"delta_a has {da.size} coefficients, "
+                             f"delta_b {db.size}")
         if S.shape != (2, 2) or abs(S[0, 1] - S[1, 0]) > 1e-12:
             raise DomainError("sigma must be a symmetric 2x2 matrix")
         if S[0, 0] < 0 or S[1, 1] < 0 or S[0, 1] ** 2 > S[0, 0] * S[1, 1] + 1e-12:
@@ -98,7 +99,7 @@ def fit_bivariate_ols(Xa, a_raw, b_raw) -> RegressionFit:
     return RegressionFit(
         mu_a=float(beta[0, 0]), mu_b=float(beta[0, 1]),
         delta_a=beta[1:, 0].copy(), delta_b=beta[1:, 1].copy(),
-        sigma=sigma, q=q,
+        sigma=sigma,
     )
 
 
@@ -120,8 +121,9 @@ def adjust(fit: RegressionFit, Xa, mode: str = "mean",
     Xa = np.asarray(Xa, dtype=np.float64)
     if Xa.ndim == 1:
         Xa = Xa[:, None]
-    if Xa.ndim != 2 or Xa.shape[1] != fit.q:
-        raise ShapeError(f"Xa must be (n, {fit.q}), got {Xa.shape}")
+    q = fit.delta_a.shape[0]
+    if Xa.ndim != 2 or Xa.shape[1] != q:
+        raise ShapeError(f"Xa must be (n, {q}), got {Xa.shape}")
     if mode not in ADJUST_MODES:
         raise DomainError(f"unknown adjustment mode {mode!r}")
 

@@ -139,7 +139,10 @@ class HypothesisTable:
         if len(ids) != n:
             raise TableValidationError("ids length does not match table")
         if len(set(ids)) != n:
-            raise TableValidationError("ids must be unique")
+            counts = collections.Counter(ids)
+            first = next(i for i in ids if counts[i] > 1)
+            raise TableValidationError(
+                f"ids must be unique; {first!r} appears {counts[first]} times")
 
     def _set_covariates(self, X, Xa):
         """Freeze and check the covariate blocks, and set ``k`` and ``q``."""
@@ -272,8 +275,9 @@ def _header(path, reader) -> list[str]:
 
 @contextlib.contextmanager
 def _text(src):
-    """The binary file ``src`` read as UTF-8 text; ``src`` stays open."""
-    text = io.TextIOWrapper(src, encoding="utf-8", newline="")
+    """The binary file ``src`` read as UTF-8 text, less a leading
+    byte-order mark; ``src`` stays open."""
+    text = io.TextIOWrapper(src, encoding="utf-8-sig", newline="")
     try:
         yield text
     finally:

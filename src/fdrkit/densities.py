@@ -145,6 +145,7 @@ class RecursionConfig:
 
 def estimate_alternative(
     z,
+    *,
     config: RecursionConfig = RecursionConfig(),
     seed: int = 0,
     f0_loc: float = 0.0,

@@ -30,7 +30,6 @@ from scipy.special import expit
 
 from .errors import DomainError, NumericError, ShapeError
 
-_FORMAT_TAG = "fdrkit-net-v1"
 # OpenBLAS (0.3.31, SkylakeX kernels) runs a product of at most this many
 # multiply-adds (rows x fan_in x fan_out) through a small-matrix kernel,
 # which rounds differently from the kernel of a larger product
@@ -42,7 +41,8 @@ _ROW_TILE = 48
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture of the covariate network.
+    """Architecture of the covariate network: ReLU hidden layers of
+    ``hidden_sizes`` units and two soft-plus output heads.
 
     ``output_floor`` is added to both soft-plus heads. Besides keeping
     the emitted pair strictly positive, it bounds the prior concentration
@@ -54,9 +54,7 @@ class NetworkConfig:
 
     input_dim: int
     hidden_sizes: tuple[int, ...] = (200, 200)
-    activation: str = "relu"
     output_floor: float = 1.0
-    init_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
@@ -64,8 +62,6 @@ class NetworkConfig:
             raise DomainError("input_dim must be >= 1")
         if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
             raise DomainError("hidden_sizes must be nonempty positive integers")
-        if self.activation != "relu":
-            raise DomainError(f"unsupported activation {self.activation!r}")
         if self.output_floor <= 0:
             raise DomainError("output_floor must be positive")
 
@@ -101,7 +97,6 @@ class NetworkParams:
 
     def to_dict(self) -> dict:
         return {
-            "format": _FORMAT_TAG,
             "config": asdict(self.config),
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
@@ -109,8 +104,6 @@ class NetworkParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkParams":
-        if d.get("format") != _FORMAT_TAG:
-            raise DomainError(f"unsupported network format {d.get('format')!r}")
         return cls(
             config=NetworkConfig(**d["config"]),
             weights=[np.array(w, dtype=np.float64) for w in d["weights"]],
@@ -118,12 +111,12 @@ class NetworkParams:
         )
 
 
-def init_network(config: NetworkConfig, seed: int | None = None) -> NetworkParams:
+def init_network(config: NetworkConfig, seed: int = 0) -> NetworkParams:
     """Initialize weights uniformly in +-1/sqrt(fan_in); biases zero.
 
-    Deterministic given the seed (``config.init_seed`` when not passed).
+    Deterministic given ``seed``.
     """
-    rng = np.random.default_rng(config.init_seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     dims = config.layer_dims
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

@@ -63,7 +63,7 @@ from .errors import (
 )
 from .prior_net import NetworkConfig, NetworkParams, _forward_cached, backward, forward, init_network
 
-MODEL_FORMAT_TAG = "fdrkit-model-v2"
+MODEL_FORMAT_TAG = "fdrkit-model-v3"
 
 _LIKELIHOOD_FLOOR = 1e-300
 _CHUNK = 1024
@@ -298,16 +298,6 @@ class FittedModel:
             return ("Xa",)
         return VARIANTS[self.variant]
 
-    def _restated(self) -> dict:
-        """The model file's fields that restate ``config`` and
-        ``train_log``, as ``to_dict`` writes them."""
-        return {
-            "f0": {"loc": self.config.f0_loc, "scale": self.config.f0_scale},
-            "pi1_hat": self.pi1_hat,
-            "adjust_mode": self.config.adjust_mode,
-            "adjust_seed": self.adjust_seed,
-        }
-
     def to_dict(self) -> dict:
         return {
             "format": MODEL_FORMAT_TAG,
@@ -321,20 +311,17 @@ class FittedModel:
             "train_log": self.train_log,
             "k": self.k,
             "q": self.q,
-            **self._restated(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
-        """The model of a ``to_dict`` record; its ``"f0"``,
-        ``"adjust_mode"``, ``"adjust_seed"`` and ``"pi1_hat"`` must repeat
-        what its ``"train_config"`` and ``"train_log"`` give."""
+        """The model of a ``to_dict`` record of this format."""
         if d.get("format") != MODEL_FORMAT_TAG:
             raise DomainError(f"unsupported model format {d.get('format')!r}")
         if d["variant"] not in VARIANTS:
             raise DomainError(f"variant must be one of {tuple(VARIANTS)}, "
                               f"not {d['variant']!r}")
-        model = cls(
+        return cls(
             variant=d["variant"],
             net_params=NetworkParams.from_dict(d["network"]),
             regression=(RegressionFit.from_dict(d["regression"])
@@ -346,12 +333,6 @@ class FittedModel:
             train_log=d["train_log"],
             k=d["k"], q=d["q"],
         )
-        for key, value in model._restated().items():
-            if d[key] != value:
-                raise DomainError(
-                    f"fields that disagree with train_config and train_log: "
-                    f"{key} ({d[key]!r}, not {value!r})")
-        return model
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -405,8 +386,8 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
 
     X_in = _net_input(variant, work)
     params = init_network(NetworkConfig(input_dim=X_in.shape[1],
-                                        hidden_sizes=hidden_sizes,
-                                        init_seed=s_init))
+                                        hidden_sizes=hidden_sizes),
+                          seed=s_init)
 
     f0z = _floored_f0(work.z, config.f0_loc, config.f0_scale)
     f1z = eval_density(f1, work.z)

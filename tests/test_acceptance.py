@@ -132,9 +132,9 @@ def test_criterion_03_gradient_check():
             input_dim=int(rng.integers(2, 6)),
             hidden_sizes=tuple(int(h) for h in
                                rng.integers(3, 8, size=rng.integers(1, 3))),
-            output_floor=1e-3, init_seed=seed,
+            output_floor=1e-3,
         )
-        params = init_network(cfg)
+        params = init_network(cfg, seed=seed)
         for bias in params.biases:  # generic point, off the ReLU kink
             bias[:] = rng.uniform(-0.2, 0.2, size=bias.shape)
         B = int(rng.integers(5, 15))

@@ -50,7 +50,7 @@ class TestFit:
         a_raw = np.exp(rng.standard_normal(20))
         b_raw = np.exp(rng.standard_normal(20))
         fit = fit_bivariate_ols(np.empty((20, 0)), a_raw, b_raw)
-        assert fit.q == 0
+        assert fit.delta_a.size == 0
         assert fit.mu_a == pytest.approx(np.log(a_raw).mean(), abs=1e-8)
         assert fit.mu_b == pytest.approx(np.log(b_raw).mean(), abs=1e-8)
 
@@ -84,11 +84,16 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_bivariate_ols(np.zeros((5, 1)), [1, 1, 0, 1, 1], np.ones(5))
 
+    def test_coefficient_lengths_must_agree(self):
+        with pytest.raises(ShapeError, match="delta_a has 2 coefficients"):
+            RegressionFit(mu_a=0, mu_b=0, delta_a=np.zeros(2),
+                          delta_b=np.zeros(1), sigma=np.eye(2))
+
     def test_sigma_psd_validated(self):
         with pytest.raises(DomainError):
             RegressionFit(mu_a=0, mu_b=0, delta_a=np.zeros(0),
                           delta_b=np.zeros(0),
-                          sigma=np.array([[1.0, 2.0], [2.0, 1.0]]), q=0)
+                          sigma=np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestAdjust:
@@ -104,7 +109,7 @@ class TestAdjust:
         fit = fit_bivariate_ols(Xa, a_raw, b_raw)
         fit0 = RegressionFit(mu_a=fit.mu_a, mu_b=fit.mu_b,
                              delta_a=fit.delta_a, delta_b=fit.delta_b,
-                             sigma=np.zeros((2, 2)), q=1)
+                             sigma=np.zeros((2, 2)))
         mean = adjust(fit0, Xa, mode="mean")
         samp = adjust(fit0, Xa, mode="sample", seed=123)
         np.testing.assert_allclose(samp.a, mean.a, rtol=1e-12)
@@ -125,7 +130,7 @@ class TestAdjust:
 
     def test_outputs_clipped(self):
         fit = RegressionFit(mu_a=100.0, mu_b=-100.0, delta_a=np.zeros(0),
-                            delta_b=np.zeros(0), sigma=np.zeros((2, 2)), q=0)
+                            delta_b=np.zeros(0), sigma=np.zeros((2, 2)))
         bp = adjust(fit, np.empty((3, 0)))
         assert np.all(bp.a == CLIP_HI)
         assert np.all(bp.b == CLIP_LO)
@@ -171,7 +176,7 @@ class TestRecordsCopyTheirInputs:
         S = np.array([[1.0, 0.2], [0.2, 0.5]])
         before = [arr.copy() for arr in (da, db, S)]
         fit = RegressionFit(mu_a=0.1, mu_b=-0.2, delta_a=da, delta_b=db,
-                            sigma=S, q=2)
+                            sigma=S)
         for arr, orig in zip((da, db, S), before):
             assert arr.flags.writeable
             np.testing.assert_array_equal(arr, orig)

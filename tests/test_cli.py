@@ -180,6 +180,17 @@ class TestDiscover:
         assert res.exit_code == 0, res.output
         assert _json_payload(res.output)["discoveries"] == 0
 
+    def test_byte_order_mark_keeps_the_ids(self, runner, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes("\ufeffid,z,x0,h\nr0,3.5,0.1,1\nr1,0.0,0.2,0\n"
+                         .encode("utf-8"))
+        out = tmp_path / "d.csv"
+        res = runner.invoke(main, ["discover", "--in", str(path), "--method",
+                                   "bh", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["r0", "r1"]
+
     def test_table_that_is_not_utf8_is_a_one_line_error(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("id,z,x0\nr1,1.0,0.5\ncafé,2.0,1.5\n".encode("latin-1"))
@@ -796,13 +807,13 @@ class TestTracedNames:
 
 def test_settable_values_are_pinned():
     """Flags of every command plus fields of every exported settings class
-    (named ``*Config`` or ``*Schema``): 86 values, none from the
+    (named ``*Config`` or ``*Schema``): 84 values, none from the
     environment, so a new setting has to change this test."""
     flags = sum(len(command.params) for command in main.commands.values())
     settings = [getattr(fdrkit, name) for name in fdrkit.__all__
                 if name.endswith(("Config", "Schema"))]
     fields = sum(len(dataclasses.fields(cls)) for cls in settings)
-    assert (flags, fields) == (54, 32)
+    assert (flags, fields) == (54, 30)
     package = Path(fdrkit.__file__).parent
     for source in package.glob("*.py"):
         text = source.read_text(encoding="utf-8")

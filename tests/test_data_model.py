@@ -85,9 +85,12 @@ class TestLoadTable:
         assert (t.z[0], t.X.tolist(), t.k) == (1.5, [[0.5]], 1)
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        path = _write(tmp_path, "id,z,x0\nsame,1.0,0.5\nsame,2.0,1.5\n")
-        with pytest.raises(TableValidationError, match="unique"):
+        path = _write(tmp_path, "id,z,x0\nr0,0.0,0.1\nsame,1.0,0.5\n"
+                      "other,1.5,0.2\nr1,0.0,0.1\nsame,2.0,1.5\nr1,3.0,0.3\n"
+                      "same,2.5,0.4\n")
+        with pytest.raises(TableValidationError, match="unique") as info:
             load_table(path)
+        assert "'same' appears 3 times" in str(info.value)
 
 
 class TestLoadTableEdges:
@@ -208,6 +211,27 @@ class TestLoadTableContract:
         np.testing.assert_array_equal(t.z, [6.0, 5.0])
         np.testing.assert_array_equal(t.X, [[2.0, 3.0], [6.0, 7.0]])
         np.testing.assert_array_equal(t.h_truth, [0, 1])
+
+    @pytest.mark.parametrize("text,ids", [
+        ("id,z,x0,h\nr0,1,2,0\nr1,5,6,1\n", ("r0", "r1")),
+        ("z,x0,id,h\n1,2,r0,0\n5,6,r1,1\n", ("r0", "r1")),
+        ('id,z,x0,h\nr0,1,2,0\n"r\n1",5,6,1\n', ("r0", "r\n1")),
+    ], ids=["id_first", "z_first", "per_cell"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, text, ids):
+        t = load_table(_write_bytes(tmp_path, "\ufeff" + text))
+        assert t.ids == ids
+        np.testing.assert_array_equal(t.z, [1.0, 5.0])
+        np.testing.assert_array_equal(t.X, [[2.0], [6.0]])
+
+    def test_byte_order_mark_inside_an_id_is_kept(self, tmp_path):
+        t = self._load(tmp_path, ["\ufeffr0,1,2,3,4,0", "r\ufeff1,5,6,7,8,1"])
+        assert t.ids == ("\ufeffr0", "r\ufeff1")
+
+    def test_bad_byte_offset_counts_the_byte_order_mark(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,z,x0\nr\xe9,1,2\n")
+        with pytest.raises(TableParseError, match="byte 0xe9 at offset 12$"):
+            load_table(path)
 
     def test_quoted_numbers(self, tmp_path):
         t = self._load(tmp_path, ['r0,"1.5",2,3,4,"1"'])
@@ -622,7 +646,7 @@ def test_records_holding_arrays_compare_by_identity_and_hash():
                              method="bh"),
         lambda: BetaParams(a=[1.0, 2.0], b=[3.0, 4.0]),
         lambda: RegressionFit(mu_a=0.0, mu_b=0.0, delta_a=[1.0, 2.0],
-                              delta_b=[3.0, 4.0], sigma=np.eye(2), q=2),
+                              delta_b=[3.0, 4.0], sigma=np.eye(2)),
         lambda: MixtureDensity(lo=-1.0, step=1.0, sd=1.0, weights=[0.5, 0.5]),
         lambda: CovariateScaling(x_center=[0.0, 1.0], x_scale=[1.0, 2.0],
                                  a_center=[], a_scale=[]),

@@ -243,9 +243,9 @@ class TestGradient:
         cfg = NetworkConfig(
             input_dim=int(rng.integers(2, 5)),
             hidden_sizes=tuple(rng.integers(3, 7, size=2)),
-            output_floor=1e-3, init_seed=seed,
+            output_floor=1e-3,
         )
-        params = init_network(cfg)
+        params = init_network(cfg, seed=seed)
         # generic point: nonzero biases keep pre-activations away from the
         # ReLU kink, where finite differences are undefined
         for bias in params.biases:
@@ -562,10 +562,11 @@ class TestModelIO:
 
     def test_grid_model_file_rejected(self, small_fit):
         _, _, model = small_fit
-        d = model.to_dict()
-        d["format"] = "fdrkit-model-v1"
-        with pytest.raises(DomainError, match="unsupported model format"):
-            FittedModel.from_dict(d)
+        for tag in ("fdrkit-model-v1", "fdrkit-model-v2"):
+            d = model.to_dict()
+            d["format"] = tag
+            with pytest.raises(DomainError, match="unsupported model format"):
+                FittedModel.from_dict(d)
 
     def test_loaded_scaling_is_read_only(self, small_fit, tmp_path):
         _, _, model = small_fit
@@ -606,20 +607,29 @@ class TestModelIO:
         assert (f1["lo"], f1["step"], f1["sd"]) == (-10.0, 0.1, 1.0)
         assert len(f1["weights"]) == 201
 
-    @pytest.mark.parametrize("key, value", [
-        ("f0", {"loc": 0.5, "scale": 1.0}),
-        ("f0", {"loc": 0.0, "scale": 2.0}),
-        ("adjust_mode", "sample"),
-        ("adjust_seed", 1),
-        ("pi1_hat", 0.99),
-    ])
-    def test_settings_that_disagree_with_train_config_are_refused(
-            self, small_fit, tmp_path, key, value):
+    def test_each_fact_stored_once(self, small_fit):
         _, _, model = small_fit
-        path = tmp_path / "edited.json"
-        path.write_text(json.dumps({**model.to_dict(), key: value}))
-        with pytest.raises(DomainError, match="disagree with train_config"):
-            FittedModel.load(path)
+        d = model.to_dict()
+        assert set(d) == {"format", "variant", "network", "regression", "f1",
+                          "scaling", "train_config", "train_log", "k", "q"}
+        assert set(d["network"]) == {"config", "weights", "biases"}
+        assert set(d["network"]["config"]) == {"input_dim", "hidden_sizes",
+                                               "output_floor"}
+        assert set(d["regression"]) == {"mu_a", "mu_b", "delta_a", "delta_b",
+                                        "sigma"}
+
+    def test_sample_adjustment_survives_save_and_load(self, small_fit,
+                                                      tmp_path):
+        table, config, _ = small_fit
+        model = train(table, dataclasses.replace(config, adjust_mode="sample"),
+                      variant="neurt_b")
+        path = tmp_path / "m.json"
+        model.save(path)
+        scored = posteriors(model, table)
+        np.testing.assert_array_equal(
+            posteriors(FittedModel.load(path), table), scored)
+        mean = dataclasses.replace(model, config=config)
+        assert not np.array_equal(posteriors(mean, table), scored)
 
     def test_restated_fields_derive_from_config_and_log(self, small_fit):
         _, config, model = small_fit
