@@ -6,10 +6,10 @@ standard normal null.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .data_model import _csv_field, _frozen
 from .errors import DomainError
@@ -42,7 +42,7 @@ class DiscoverySet:
         n = s.shape[0]
         if r.size and (r.min() < 0 or r.max() >= n):
             raise DomainError("rejected indices out of range")
-        if r.size != np.unique(r).size or np.any(np.diff(r) < 0):
+        if np.any(np.diff(r) <= 0):
             raise DomainError("rejected indices must be sorted and unique")
 
     @property
@@ -72,19 +72,22 @@ class DiscoverySet:
 def z_to_pvalue(z, sidedness: str = "two_sided"):
     """Convert z-scores to p-values under the standard normal null.
 
-    two_sided -> 2*Phi(-|z|); left -> Phi(z); right -> 1 - Phi(z).
+    two_sided -> 2*Phi(-|z|) = erfc(|z|/sqrt(2)); left -> Phi(z) =
+    erfc(-z/sqrt(2))/2; right -> 1 - Phi(z) = erfc(z/sqrt(2))/2, with
+    the C library's ``erfc`` (``math.erfc``).
     """
     z = np.asarray(z, dtype=np.float64)
     if sidedness == "two_sided":
-        p = 2.0 * ndtr(-np.abs(z))
+        x, scale = np.abs(z), 1.0
     elif sidedness == "left":
-        p = ndtr(z)
+        x, scale = -z, 0.5
     elif sidedness == "right":
-        p = ndtr(-z)
+        x, scale = z, 0.5
     else:
         raise DomainError(f"unknown sidedness {sidedness!r}")
-    p = np.clip(p, 0.0, 1.0)
-    return p if p.ndim else float(p)
+    x = (x * math.sqrt(0.5)).ravel().tolist()
+    p = scale * np.fromiter(map(math.erfc, x), np.float64, z.size)
+    return p.reshape(z.shape) if z.ndim else float(p[0])
 
 
 def _check_pvals(pvals) -> np.ndarray:

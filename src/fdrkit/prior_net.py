@@ -23,10 +23,10 @@ two such blocks is one block.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, NumericError, ShapeError
 
@@ -104,11 +104,22 @@ class NetworkParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkParams":
-        return cls(
+        """The network of a ``to_dict`` record; a weight or bias whose
+        shape disagrees with the config's ``layer_dims`` raises
+        ``DomainError``."""
+        params = cls(
             config=NetworkConfig(**d["config"]),
             weights=[np.array(w, dtype=np.float64) for w in d["weights"]],
             biases=[np.array(b, dtype=np.float64) for b in d["biases"]],
         )
+        dims = params.config.layer_dims
+        want = (list(zip(dims[:-1], dims[1:])), [(n,) for n in dims[1:]])
+        got = ([w.shape for w in params.weights],
+               [b.shape for b in params.biases])
+        if got != want:
+            raise DomainError(f"network of layer sizes {dims} needs weight "
+                              f"and bias shapes {want}, got {got}")
+        return params
 
 
 def init_network(config: NetworkConfig, seed: int = 0) -> NetworkParams:
@@ -129,6 +140,26 @@ def init_network(config: NetworkConfig, seed: int = 0) -> NetworkParams:
 def softplus(u):
     """ln(1 + e^u), evaluated without overflow for large |u|."""
     return np.logaddexp(0.0, u)
+
+
+def _exp(u: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
+
+
+def expit(x) -> np.ndarray:
+    """The logistic sigmoid 1/(1 + e^-x), elementwise, as an array.
+
+    e^-x comes from the C library's ``exp`` (``math.exp``), as in
+    ``scipy.special.expit``, whose values this reproduces bit for bit;
+    numpy's own ``exp`` differs from it by one ulp on some inputs. Where
+    e^-x overflows it is infinite, so the result is exactly 0.0.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.fromiter(map(_exp, (-x).ravel().tolist()), np.float64, x.size)
+    return 1.0 / (1.0 + e.reshape(x.shape))
 
 
 def _as_batch(params: NetworkParams, x) -> tuple[np.ndarray, bool]:
@@ -223,7 +254,7 @@ def backward(params: NetworkParams, x, grad_a, grad_b, cache) -> NetworkParams:
 
     B = X.shape[0]
     # d softplus(u)/du = sigmoid(u); the floor is an additive constant
-    delta = np.column_stack((ga * expit(out[:, 0]), gb * expit(out[:, 1])))
+    delta = np.column_stack((ga, gb)) * expit(out)
 
     n_layers = len(params.weights)
     weights, biases = [None] * n_layers, [None] * n_layers

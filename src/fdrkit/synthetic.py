@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .data_model import HypothesisTable
 from .errors import DomainError
+from .prior_net import expit
 
 #: named presets: A has informative covariates, N has none
 SCENARIOS = {
@@ -100,8 +100,9 @@ def generate(config: ScenarioConfig) -> HypothesisTable:
         Xa[:, m_corr:] = rng.standard_normal((n, q - m_corr))
     t = aux_score(Xa)
 
+    p = config.base_pi1
     prob_alt = expit(
-        logit(config.base_pi1)
+        math.log(p / (1.0 - p))
         + config.covariate_signal * s
         + config.aux_signal * t
     )

@@ -315,13 +315,14 @@ class FittedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FittedModel":
-        """The model of a ``to_dict`` record of this format."""
+        """The model of a ``to_dict`` record of this format; a part that
+        does not fit the record's ``k`` and ``q`` raises ``DomainError``."""
         if d.get("format") != MODEL_FORMAT_TAG:
             raise DomainError(f"unsupported model format {d.get('format')!r}")
         if d["variant"] not in VARIANTS:
             raise DomainError(f"variant must be one of {tuple(VARIANTS)}, "
                               f"not {d['variant']!r}")
-        return cls(
+        model = cls(
             variant=d["variant"],
             net_params=NetworkParams.from_dict(d["network"]),
             regression=(RegressionFit.from_dict(d["regression"])
@@ -333,6 +334,28 @@ class FittedModel:
             train_log=d["train_log"],
             k=d["k"], q=d["q"],
         )
+        model._check_widths()
+        return model
+
+    def _check_widths(self):
+        """Raise ``DomainError`` unless the network's input, the
+        regression and the scaling all fit the model's ``k`` and ``q``."""
+        k, q = self.k, self.q
+        width = sum({"X": k, "Xa": q}[name] for name in VARIANTS[self.variant])
+        if self.net_params.config.input_dim != width:
+            raise DomainError(
+                f"{self.variant} network needs input_dim {width} for "
+                f"(k={k}, q={q}), got {self.net_params.config.input_dim}")
+        if self.regression is not None and self.regression.delta_a.size != q:
+            raise DomainError(f"regression needs q={q} coefficients per "
+                              f"response, got {self.regression.delta_a.size}")
+        s = self.scaling
+        if s is not None:
+            shapes = [v.shape for v in (s.x_center, s.x_scale,
+                                        s.a_center, s.a_scale)]
+            if shapes != [(k,), (k,), (q,), (q,)]:
+                raise DomainError(f"scaling needs widths k={k}, k, q={q}, "
+                                  f"q, got {shapes}")
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:

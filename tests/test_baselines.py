@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fdrkit import DiscoverySet, DomainError, bh, storey_bh, z_to_pvalue
 
@@ -44,6 +45,24 @@ class TestZToPvalue:
         out = z_to_pvalue(np.array([0.0, 1.0, -1.0]))
         assert out.shape == (3,)
         assert out[1] == pytest.approx(out[2])
+
+    def test_scalar_gives_a_float(self):
+        for sidedness in ("two_sided", "left", "right"):
+            assert type(z_to_pvalue(np.float64(1.5), sidedness)) is float
+
+    @pytest.mark.parametrize("sidedness, reference", [
+        ("two_sided", lambda z: 2.0 * ndtr(-np.abs(z))),
+        ("left", ndtr),
+        ("right", lambda z: ndtr(-z)),
+    ])
+    def test_against_scipy_ndtr(self, sidedness, reference):
+        rng = np.random.default_rng(11)
+        for lim, rel in ((10.0, 5e-15), (37.0, 1e-13)):
+            z = rng.uniform(-lim, lim, 100_000).reshape(-1, 4)
+            got, want = z_to_pvalue(z, sidedness), reference(z)
+            assert got.shape == z.shape
+            assert np.all((got >= 0.0) & (got <= 1.0))
+            np.testing.assert_allclose(got, want, rtol=rel, atol=0.0)
 
 
 def _assert_caller_array_untouched(arr, before, record_view):

@@ -205,7 +205,15 @@ class TestDiscover:
         lambda d: "{not json",
         lambda d: json.dumps({k: v for k, v in d.items() if k != "variant"}),
         lambda d: json.dumps({**d, "f1": {**d["f1"], "weights": ["x"]}}),
-    ], ids=["not_json", "missing_key", "non_numeric_weights"])
+        lambda d: json.dumps({**d, "k": 3}),
+        lambda d: json.dumps({**d, "regression": {
+            **d["regression"], "delta_a": d["regression"]["delta_a"][1:],
+            "delta_b": d["regression"]["delta_b"][1:]}}),
+        lambda d: json.dumps({**d, "network": {**d["network"], "weights": [
+            w[1:] if i == 1 else w
+            for i, w in enumerate(d["network"]["weights"])]}}),
+    ], ids=["not_json", "missing_key", "non_numeric_weights", "k_edited",
+            "regression_short", "weights_short"])
     def test_malformed_model_is_a_one_line_error(self, runner, tmp_path,
                                                   spoil):
         table, _ = simulate(runner, tmp_path)
@@ -818,6 +826,34 @@ def test_settable_values_are_pinned():
     for source in package.glob("*.py"):
         text = source.read_text(encoding="utf-8")
         assert "environ" not in text and "getenv" not in text, source.name
+
+
+_NO_SCIPY = """
+import sys
+import fdrkit
+from fdrkit.cli import main
+
+t, m, d = sys.argv[1], sys.argv[2], sys.argv[3]
+for args in (["simulate", "--n", "400", "--out", t],
+             ["fit", "--in", t, "--out", m, *sys.argv[4:]],
+             ["discover", "--in", t, "--model", m, "--out", d],
+             ["discover", "--in", t, "--method", "bh", "--out", d]):
+    main(args, standalone_mode=False)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    """fdrkit takes its special functions from the C library, so a whole
+    simulate, fit and discover run loads no scipy module."""
+    src = str(Path(fdrkit.__file__).parents[1])
+    res = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, str(tmp_path / "t.csv"),
+         str(tmp_path / "m.json"), str(tmp_path / "d.csv"), *FAST_FIT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 class TestPinnedOutputs:

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fdrkit import (
     DomainError,
@@ -22,6 +24,7 @@ from fdrkit.prior_net import (
     _SMALL_GEMM,
     _block_edges,
     _forward_cached,
+    expit,
 )
 
 
@@ -120,6 +123,20 @@ class TestForward:
         a1, b1 = forward(p, X[5])
         a1_ref, b1_ref, _ = _forward_cached(p, X[5:6])
         assert (a1, b1) == (float(a1_ref[0]), float(b1_ref[0]))
+
+
+class TestExpit:
+    def test_equals_scipy_bit_for_bit(self):
+        edges = [709.78, 709.79, 745.0, 1e308, 0.0, math.inf]
+        x = np.concatenate([np.random.default_rng(5).uniform(-40, 40, 200_000),
+                            edges, np.negative(edges)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(x.reshape(-1, 2))
+        want = special.expit(x).reshape(-1, 2)
+        assert got.dtype == np.float64 and got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert expit(-1e308)[()] == 0.0
 
 
 class TestForwardBlocks:

@@ -600,6 +600,27 @@ class TestModelIO:
         assert str(info.value).startswith(f"{path}: not a valid model file")
         assert cause in str(info.value)
 
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda d: d["network"]["weights"][1].pop(), "network of layer sizes"),
+        (lambda d: d["network"]["biases"][0].pop(), "network of layer sizes"),
+        (lambda d: d.update(variant="neurt_a"),
+         r"neurt_a network needs input_dim 10 for \(k=10, q=2\), got 12"),
+        (lambda d: d.update(k=3),
+         r"neurt_b network needs input_dim 5 for \(k=3, q=2\), got 12"),
+        (lambda d: [d["regression"][key].pop() for key in ("delta_a", "delta_b")],
+         "regression needs q=2 coefficients per response, got 1"),
+        (lambda d: d["scaling"]["x_center"].pop(), "scaling needs widths"),
+        (lambda d: d["scaling"]["a_scale"].pop(), "scaling needs widths"),
+    ], ids=["weight_shape", "bias_shape", "input_dim_not_k",
+            "input_dim_not_k_plus_q", "regression_width", "scaling_k",
+            "scaling_q"])
+    def test_parts_must_fit_k_and_q(self, small_fit, spoil, message):
+        _, _, model = small_fit
+        d = json.loads(json.dumps(model.to_dict()))
+        spoil(d)
+        with pytest.raises(DomainError, match=message):
+            FittedModel.from_dict(d)
+
     def test_f1_stored_as_mixture(self, small_fit):
         _, _, model = small_fit
         f1 = model.to_dict()["f1"]
