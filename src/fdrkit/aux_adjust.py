@@ -1,9 +1,9 @@
 """Adjustment of network-emitted Beta parameters by auxiliary covariates.
 
 The log pseudo-parameters are regressed on the auxiliary design (shared
-regressors, two responses); the residual covariance is kept so adjusted
-parameters can either take the fitted conditional mean or be sampled
-around it.
+regressors, two responses), and each row's adjusted parameters are the
+exponentiated fitted conditional means. The residual covariance is kept
+with the fit as a description of its spread; scoring does not use it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from .errors import DomainError, InsufficientDataError, ShapeError
 #: admissible range for adjusted Beta parameters
 CLIP_LO = 1e-3
 CLIP_HI = 1e6
-
-#: how adjusted parameters are formed: conditional mean or one seeded draw
-ADJUST_MODES = ("mean", "sample")
 
 _RIDGE = 1e-8
 
@@ -103,20 +100,12 @@ def fit_bivariate_ols(Xa, a_raw, b_raw) -> RegressionFit:
     )
 
 
-def _psd_factor(sigma: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(sigma)
-    return V * np.sqrt(np.clip(w, 0.0, None))
-
-
-def adjust(fit: RegressionFit, Xa, mode: str = "mean",
-           seed: int = 0) -> BetaParams:
+def adjust(fit: RegressionFit, Xa) -> BetaParams:
     """Produce adjusted Beta parameters from a regression fit.
 
     The parameters depend on the fit and ``Xa`` alone, not on the
-    network's pseudo-parameters. ``mean`` exponentiates the fitted
-    conditional means; ``sample`` draws once per row from the fitted
-    bivariate normal (deterministic given ``seed``) before
-    exponentiating. Outputs are clipped to [CLIP_LO, CLIP_HI].
+    network's pseudo-parameters: each row's fitted conditional means of
+    (log a, log b), exponentiated and clipped to [CLIP_LO, CLIP_HI].
     """
     Xa = np.asarray(Xa, dtype=np.float64)
     if Xa.ndim == 1:
@@ -124,14 +113,8 @@ def adjust(fit: RegressionFit, Xa, mode: str = "mean",
     q = fit.delta_a.shape[0]
     if Xa.ndim != 2 or Xa.shape[1] != q:
         raise ShapeError(f"Xa must be (n, {q}), got {Xa.shape}")
-    if mode not in ADJUST_MODES:
-        raise DomainError(f"unknown adjustment mode {mode!r}")
 
     mean = np.column_stack((fit.mu_a + Xa @ fit.delta_a,
                             fit.mu_b + Xa @ fit.delta_b))
-    if mode == "sample":
-        rng = np.random.default_rng(seed)
-        draws = rng.standard_normal((Xa.shape[0], 2))
-        mean = mean + draws @ _psd_factor(fit.sigma).T
     ab = np.clip(np.exp(mean), CLIP_LO, CLIP_HI)
     return BetaParams(a=ab[:, 0], b=ab[:, 1])

@@ -31,7 +31,6 @@ from .errors import FdrkitError
 from .prior_net import NetworkConfig
 from .synthetic import SCENARIOS, generate, scenario_config
 from .two_groups import (
-    ADJUST_MODES,
     VARIANTS,
     FittedModel,
     TrainingConfig,
@@ -155,7 +154,6 @@ def _training_options(f):
         opt("--standardize/--no-standardize"),
         opt("--stage2/--no-stage2",
             "Apply the auxiliary-covariate adjustment."),
-        opt("--adjust-mode", type=click.Choice(ADJUST_MODES)),
         opt("--f1-sweeps", "Averaging passes of the alternative estimator."),
     ]):
         f = option(f)

@@ -167,6 +167,9 @@ def estimate_alternative(
         estimated alternative mass in [0, 1].
     """
     z = np.asarray(z, dtype=np.float64).ravel()
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise DomainError(f"z must be finite; z[{bad[0]}] is {z[bad[0]]}")
     n = z.shape[0]
     if n < 10:
         raise InsufficientDataError("alternative estimation needs >= 10 values")

@@ -31,13 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .aux_adjust import (
-    ADJUST_MODES,
-    BetaParams,
-    RegressionFit,
-    adjust,
-    fit_bivariate_ols,
-)
+from .aux_adjust import BetaParams, RegressionFit, adjust, fit_bivariate_ols
 from .baselines import DiscoverySet
 from .data_model import (
     COVARIATE_BLOCKS,
@@ -63,7 +57,7 @@ from .errors import (
 )
 from .prior_net import NetworkConfig, NetworkParams, _forward_cached, backward, forward, init_network
 
-MODEL_FORMAT_TAG = "fdrkit-model-v3"
+MODEL_FORMAT_TAG = "fdrkit-model-v4"
 
 _LIKELIHOOD_FLOOR = 1e-300
 _CHUNK = 1024
@@ -216,7 +210,6 @@ class TrainingConfig:
     seed: int = 0
     standardize: bool = True
     apply_stage2: bool = True
-    adjust_mode: str = "mean"
     f0_loc: float = 0.0
     f0_scale: float = 1.0
     f1_kernel_sd: float = 1.0
@@ -240,8 +233,6 @@ class TrainingConfig:
             raise DomainError("invalid val_fraction or patience")
         if self.lambda_grid_size < 2 or self.f0_scale <= 0:
             raise DomainError("invalid lambda_grid_size or f0_scale")
-        if self.adjust_mode not in ADJUST_MODES:
-            raise DomainError(f"unknown adjust_mode {self.adjust_mode!r}")
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
         self.recursion  # RecursionConfig checks the f1 settings
@@ -261,9 +252,9 @@ def _net_input(variant: str, table: HypothesisTable) -> np.ndarray:
 
 
 def _fit_seeds(seed: int) -> list[int]:
-    """Seeds of a fit's density, split, initialization, batches and
-    adjustment, in that order, all derived from ``seed``."""
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(5)]
+    """Seeds of a fit's density, split, initialization and batches, in
+    that order, all derived from ``seed``."""
+    return [int(s) for s in np.random.SeedSequence(seed).generate_state(4)]
 
 
 @dataclass(eq=False)
@@ -284,11 +275,6 @@ class FittedModel:
     def pi1_hat(self) -> float:
         """The estimated share of alternatives, from ``train_log``."""
         return self.train_log["pi1_hat"]
-
-    @property
-    def adjust_seed(self) -> int:
-        """Seed of the ``"sample"`` adjustment, derived from ``config.seed``."""
-        return _fit_seeds(self.config.seed)[4]
 
     @property
     def covariate_blocks(self) -> tuple[str, ...]:
@@ -388,14 +374,14 @@ def train(table: HypothesisTable, config: TrainingConfig = TrainingConfig(),
     with momentum on the closed-form marginal likelihood of the
     unadjusted parameter pairs (early stopping on validation NLL, best
     parameters restored), then fit the auxiliary regression once on the
-    full table and produce the adjusted parameters. ``hidden_sizes`` sets
-    the network's hidden layers. Deterministic given ``config.seed``, from which every seed of
-    the fit (density, split, initialization, batches, adjustment) derives.
+    full table. ``hidden_sizes`` sets the network's hidden layers.
+    Deterministic given ``config.seed``, from which every seed of the fit
+    (density, split, initialization, batches) derives.
     """
     if variant not in VARIANTS:
         raise DomainError(f"variant must be one of {tuple(VARIANTS)}")
     table.require(*COVARIATE_BLOCKS)
-    s_density, s_split, s_init, s_batch, _ = _fit_seeds(config.seed)
+    s_density, s_split, s_init, s_batch = _fit_seeds(config.seed)
 
     scaling = None
     work = table
@@ -504,8 +490,7 @@ def beta_params_for(model: FittedModel, table: HypothesisTable) -> BetaParams:
     table.require(*model.covariate_blocks)
     work = model.scaling.apply(table) if model.scaling is not None else table
     if model.regression is not None:
-        return adjust(model.regression, work.Xa,
-                      mode=model.config.adjust_mode, seed=model.adjust_seed)
+        return adjust(model.regression, work.Xa)
     a, b = forward(model.net_params, _net_input(model.variant, work))
     return BetaParams(a=np.atleast_1d(a), b=np.atleast_1d(b))
 

@@ -430,6 +430,29 @@ class TestConfigPrecedence:
         assert "'grid_size'" in res.output and "'in_path'" in res.output
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("command", ["fit", "benchmark"])
+    def test_adjustment_mode_is_no_setting(self, runner, tmp_path, command):
+        """Stage II scores by the fitted mean only: an ``adjust_mode`` key
+        or an ``--adjust-mode`` flag is a usage error."""
+        out = tmp_path / "out"
+        args = {
+            "fit": ["fit", "--in", str(simulate(runner, tmp_path)[0]),
+                    "--out", str(out)],
+            "benchmark": ["benchmark", "--methods", "neurt_b", "--seeds", "0",
+                          "--out-dir", str(out)],
+        }[command]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"adjust_mode": "mean"}))
+        res = runner.invoke(main, [*args, "--config", str(cfg_path)])
+        assert res.exit_code == 2, res.output
+        assert "unknown key(s) ['adjust_mode']" in res.output
+        assert "accepted keys: [" in res.output and "'stage2'" in res.output
+        for mode in ("mean", "sample"):
+            res = runner.invoke(main, [*args, "--adjust-mode", mode])
+            assert res.exit_code == 2, res.output
+            assert "No such option '--adjust-mode'" in res.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, values", [
         ("fit", {"epochs": 2.5, "seed": 0.5}),
         ("fit", {"epochs": 2.0}),
@@ -815,13 +838,13 @@ class TestTracedNames:
 
 def test_settable_values_are_pinned():
     """Flags of every command plus fields of every exported settings class
-    (named ``*Config`` or ``*Schema``): 84 values, none from the
+    (named ``*Config`` or ``*Schema``): 81 values, none from the
     environment, so a new setting has to change this test."""
     flags = sum(len(command.params) for command in main.commands.values())
     settings = [getattr(fdrkit, name) for name in fdrkit.__all__
                 if name.endswith(("Config", "Schema"))]
     fields = sum(len(dataclasses.fields(cls)) for cls in settings)
-    assert (flags, fields) == (54, 30)
+    assert (flags, fields) == (52, 29)
     package = Path(fdrkit.__file__).parent
     for source in package.glob("*.py"):
         text = source.read_text(encoding="utf-8")
@@ -870,7 +893,7 @@ class TestPinnedOutputs:
                                    "--seed", "7", "--out", str(cli_model),
                                    *FAST_FIT])
         assert res.exit_code == 0, res.output
-        assert _json_payload(res.output)["config_hash"] == "c0960df09b0b"
+        assert _json_payload(res.output)["config_hash"] == "e12c94b76b83"
         config = TrainingConfig(seed=7, epochs=3, batch_size=128,
                                 lambda_grid_size=200, f1_sweeps=2)
         train(load_table(table), config, "neurt_b",
@@ -883,4 +906,4 @@ class TestPinnedOutputs:
                                    "--alpha", "0.2", "--out-dir",
                                    str(tmp_path / "b")])
         assert res.exit_code == 0, res.output
-        assert _json_payload(res.output)["config_hash"] == "53d90e414ac9"
+        assert _json_payload(res.output)["config_hash"] == "d93dc6acedcb"

@@ -202,6 +202,15 @@ class TestEstimateAlternative:
         with pytest.raises(DomainError, match="cover"):
             estimate_alternative(np.linspace(-1, 20, 50), seed=0)
 
+    @pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (np.inf, "inf"),
+                                            (-np.inf, "-inf")])
+    def test_non_finite_z_named_by_first_position(self, bad, shown):
+        z = np.linspace(-3.0, 3.0, 50)
+        z[[7, 30]] = bad, np.nan
+        with pytest.raises(DomainError, match=rf"^z must be finite; "
+                                              rf"z\[7\] is {shown}$"):
+            estimate_alternative(z, seed=0)
+
 
 def _reference_alternative(z, centers, step, config, seed, f0_loc=0.0,
                            f0_scale=1.0):

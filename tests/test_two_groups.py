@@ -33,7 +33,7 @@ from fdrkit import (
 from fdrkit import prior_net, two_groups
 from fdrkit.densities import DENSITY_FLOOR, eval_density, null_pdf
 from fdrkit.prior_net import grad_check
-from fdrkit.two_groups import _loss_and_grads, _nll_terms
+from fdrkit.two_groups import _fit_seeds, _loss_and_grads, _nll_terms
 
 SMALL_TRAIN = dict(epochs=5, batch_size=64, lambda_grid_size=300,
                    f1_sweeps=3, patience=5)
@@ -562,7 +562,8 @@ class TestModelIO:
 
     def test_grid_model_file_rejected(self, small_fit):
         _, _, model = small_fit
-        for tag in ("fdrkit-model-v1", "fdrkit-model-v2"):
+        for tag in ("fdrkit-model-v1", "fdrkit-model-v2",
+                    "fdrkit-model-v3"):
             d = model.to_dict()
             d["format"] = tag
             with pytest.raises(DomainError, match="unsupported model format"):
@@ -639,24 +640,14 @@ class TestModelIO:
         assert set(d["regression"]) == {"mu_a", "mu_b", "delta_a", "delta_b",
                                         "sigma"}
 
-    def test_sample_adjustment_survives_save_and_load(self, small_fit,
-                                                      tmp_path):
-        table, config, _ = small_fit
-        model = train(table, dataclasses.replace(config, adjust_mode="sample"),
-                      variant="neurt_b")
-        path = tmp_path / "m.json"
-        model.save(path)
-        scored = posteriors(model, table)
-        np.testing.assert_array_equal(
-            posteriors(FittedModel.load(path), table), scored)
-        mean = dataclasses.replace(model, config=config)
-        assert not np.array_equal(posteriors(mean, table), scored)
-
     def test_restated_fields_derive_from_config_and_log(self, small_fit):
-        _, config, model = small_fit
-        seeds = np.random.SeedSequence(config.seed).generate_state(5)
-        assert model.adjust_seed == int(seeds[4])
+        _, _, model = small_fit
         assert model.pi1_hat == model.train_log["pi1_hat"]
+        # the four fit seeds are the first four words of the five the fit
+        # once drew, so fits made before the fifth was dropped are unchanged
+        for seed in (*range(20), 2**32 - 1, 2**40):
+            five = np.random.SeedSequence(seed).generate_state(5)
+            assert _fit_seeds(seed) == [int(s) for s in five[:4]]
 
     def test_models_and_network_params_compare_by_identity_and_hash(
             self, small_fit):
