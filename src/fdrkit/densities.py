@@ -29,11 +29,21 @@ the cell masses held as a ``(sweeps, cells)`` array. The update is the
 multiplicative form of the recursion, ``mass <- mass * (alpha + beta *
 kern)``, which equals the textbook ``((1-w) pi1 mass + w joint / denom) /
 pi1_new`` up to rounding and needs a few whole-array passes per step.
+
+The steps advance in blocks of ``_STEP_BLOCK``. Only the passes' visiting
+orders are held for every step, as an ``(sweeps, n)`` int32 array. Each
+block gathers its z-values and null densities, and computes all its
+kernels in four whole-block passes; its steps then run one at a time on
+buffers allocated once, the per-pass scalars as ``(sweeps,)`` arrays. So
+the working memory grows by ``4 * sweeps + 8`` bytes per row, the orders
+and the null densities, and the answers are those of computing each
+step's kernel when it is taken, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +68,8 @@ INIT_PI1 = 0.1
 _WEIGHT_SUM_TOL = 1e-9
 # rows per block of ``MixtureDensity.pdf``; bounds its (rows x cells) buffer
 _PDF_BLOCK = 4096
+# steps per block of the recursion; bounds its (steps x sweeps x cells) buffer
+_STEP_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +151,12 @@ class RecursionConfig:
     kernel_sd: float = 1.0
 
     def __post_init__(self):
-        if self.sweeps < 1 or not self.kernel_sd > 0:
-            raise DomainError("sweeps must be >= 1 and kernel_sd positive")
+        if isinstance(self.sweeps, bool) or not isinstance(self.sweeps,
+                                                           numbers.Integral):
+            raise DomainError(f"sweeps must be an integer, not {self.sweeps!r}")
+        if self.sweeps < 1 or not 0 < self.kernel_sd < math.inf:
+            raise DomainError(
+                "sweeps must be >= 1 and kernel_sd positive and finite")
 
 
 def estimate_alternative(
@@ -157,8 +173,10 @@ def estimate_alternative(
     independently shuffled copy of the data with step weights
     ``(t+1)**-DECAY_EXPONENT``, starting from the mass ``INIT_PI1``, and
     averages the resulting mixing weights and mass estimates. The passes
-    advance together, one step over all of them at a time. Deterministic
-    given ``seed``.
+    advance together, one step over all of them at a time, with the
+    kernels taken ``_STEP_BLOCK`` steps at a time (see the module
+    docstring). Deterministic given ``seed``; a negative ``seed`` raises
+    ``DomainError``.
 
     Returns
     -------
@@ -166,6 +184,8 @@ def estimate_alternative(
         The alternative density as a Gaussian location mixture, and the
         estimated alternative mass in [0, 1].
     """
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
     z = np.asarray(z, dtype=np.float64).ravel()
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
@@ -187,40 +207,59 @@ def estimate_alternative(
     trapw[0] = trapw[-1] = step / 2.0
 
     f0_at_z = null_pdf(z, loc=f0_loc, scale=f0_scale)
-    kern_norm = 1.0 / (config.kernel_sd * math.sqrt(2.0 * math.pi))
+    # numpy scalars, which a ufunc takes faster than Python floats
+    one = np.float64(1.0)
+    kern_norm = one / (config.kernel_sd * math.sqrt(2.0 * math.pi))
     expo = -0.5 / config.kernel_sd ** 2
 
     rng = np.random.default_rng(seed)
-    t_weights = (np.arange(1, n + 1) + 1.0) ** (-DECAY_EXPONENT)
-
-    # one shuffled order per pass, drawn in pass order; row t holds the
-    # z-value (and its null density) that each pass visits at step t
     sweeps = config.sweeps
-    orders = np.array([rng.permutation(n) for _ in range(sweeps)])
-    z_steps = np.ascontiguousarray(z[orders].T)
-    f0_steps = np.ascontiguousarray(f0_at_z[orders].T)
+    # one shuffled order per pass, drawn in pass order; column t holds the
+    # row that each pass visits at step t
+    orders = np.empty((sweeps, n), dtype=np.int32)
+    for s in range(sweeps):
+        orders[s] = rng.permutation(n)
 
     # within-alternative cell masses, from a uniform guess on the span
     mass = np.tile(trapw / trapw.sum(), (sweeps, 1))
-    pi1 = np.full(sweeps, INIT_PI1)
-    kern = np.empty((sweeps, m))  # unnormalized kernel, then the update factor
-    kern_dot_mass = np.empty(sweeps)
-    for t in range(n):
-        w = t_weights[t]
-        np.subtract(z_steps[t][:, None], u, out=kern)
+    pi1, pi1_new = np.full(sweeps, INIT_PI1), np.empty(sweeps)
+    kern_dot_mass, f1_at_z, denom, alpha, beta = np.empty((5, sweeps))
+    alpha_col, beta_col = alpha[:, None], beta[:, None]
+    # a block's kernels, unnormalized, each step's then its update factor
+    kern_block = np.empty((min(n, _STEP_BLOCK), sweeps, m))
+    for t0 in range(0, n, _STEP_BLOCK):
+        t1 = min(t0 + _STEP_BLOCK, n)
+        rows = orders[:, t0:t1].T
+        kern = kern_block[:t1 - t0]
+        np.subtract(z[rows][:, :, None], u, out=kern)
         np.multiply(kern, kern, out=kern)
         np.multiply(kern, expo, out=kern)
         np.exp(kern, out=kern)
-        np.einsum("ij,ij->i", kern, mass, out=kern_dot_mass)
-        f1_at_z = (kern_norm * pi1) * kern_dot_mass
-        denom = (1.0 - pi1) * f0_steps[t] + f1_at_z
-        pi1_new = (1.0 - w) * pi1 + w * (f1_at_z / denom)
-        alpha = (1.0 - w) * pi1 / pi1_new
-        beta = (w * kern_norm) * pi1 / (denom * pi1_new)
-        np.multiply(kern, beta[:, None], out=kern)
-        np.add(kern, alpha[:, None], out=kern)
-        np.multiply(mass, kern, out=mass)
-        pi1 = pi1_new
+        t_weights = (np.arange(t0 + 1, t1 + 1) + 1.0) ** (-DECAY_EXPONENT)
+        for k, f0_t, w, keep, gain in zip(kern, f0_at_z[rows], t_weights,
+                                          1.0 - t_weights,
+                                          t_weights * kern_norm):
+            np.einsum("ij,ij->i", k, mass, out=kern_dot_mass)
+            np.multiply(pi1, kern_norm, out=f1_at_z)
+            np.multiply(f1_at_z, kern_dot_mass, out=f1_at_z)
+            np.subtract(one, pi1, out=denom)
+            np.multiply(denom, f0_t, out=denom)
+            np.add(denom, f1_at_z, out=denom)
+            # pi1_new = keep pi1 + w f1/denom, alpha = keep pi1 / pi1_new and
+            # beta = gain pi1 / (denom pi1_new), with keep = 1-w and
+            # gain = w kern_norm
+            np.divide(f1_at_z, denom, out=pi1_new)
+            np.multiply(pi1_new, w, out=pi1_new)
+            np.multiply(pi1, keep, out=alpha)
+            np.add(alpha, pi1_new, out=pi1_new)
+            np.divide(alpha, pi1_new, out=alpha)
+            np.multiply(pi1, gain, out=beta)
+            np.multiply(denom, pi1_new, out=denom)
+            np.divide(beta, denom, out=beta)
+            np.multiply(k, beta_col, out=k)
+            np.add(k, alpha_col, out=k)
+            np.multiply(mass, k, out=mass)
+            pi1, pi1_new = pi1_new, pi1
 
     # f1 is linear in the weights, so averaging the passes' weights
     # averages their densities

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from fdrkit import (
     eval_density,
     null_pdf,
 )
-from fdrkit.densities import _PDF_BLOCK, DENSITY_FLOOR
+from fdrkit.densities import _PDF_BLOCK, _STEP_BLOCK, DENSITY_FLOOR
 
 
 def trapezoid_mass(values: np.ndarray, step: float) -> float:
@@ -198,6 +199,20 @@ class TestEstimateAlternative:
         with pytest.raises(DomainError, match="sweeps must be"):
             RecursionConfig(**kw)
 
+    @pytest.mark.parametrize("sweeps", [2.5, True, "3"])
+    def test_sweeps_must_be_an_integer(self, sweeps):
+        with pytest.raises(DomainError, match="sweeps must be an integer"):
+            RecursionConfig(sweeps=sweeps)
+
+    @pytest.mark.parametrize("sd", [math.inf, math.nan])
+    def test_kernel_sd_must_be_finite(self, sd):
+        with pytest.raises(DomainError, match="kernel_sd positive and finite"):
+            RecursionConfig(kernel_sd=sd)
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            estimate_alternative(np.linspace(-3.0, 3.0, 50), seed=-1)
+
     def test_grid_must_cover_range(self):
         with pytest.raises(DomainError, match="cover"):
             estimate_alternative(np.linspace(-1, 20, 50), seed=0)
@@ -334,3 +349,98 @@ class TestRecursionOracle:
         np.testing.assert_allclose(pdf / trapezoid_mass(pdf, _FINE_STEP),
                                    ref_f1, rtol=0, atol=1e-12)
         assert pi1 == pytest.approx(ref_pi1, rel=0, abs=1e-12)
+
+
+def _lockstep_alternative(z, config, seed, f0_loc=0.0, f0_scale=1.0):
+    """The recursion as it ran before it streamed its steps in blocks: the
+    passes in lockstep, with every step's z-values and null densities
+    gathered up front and each step's kernel computed when it is taken.
+
+    Returns the averaged weights and ``pi1_hat``.
+    """
+    z = np.asarray(z, dtype=np.float64).ravel()
+    n = z.shape[0]
+    step = max(config.kernel_sd / 10, 0.01)
+    m = int(math.ceil(round(20.0 / step, 9))) + 1
+    u = -10.0 + step * np.arange(m)
+    trapw = np.full(m, step)
+    trapw[0] = trapw[-1] = step / 2.0
+
+    f0_at_z = null_pdf(z, loc=f0_loc, scale=f0_scale)
+    kern_norm = 1.0 / (config.kernel_sd * math.sqrt(2.0 * math.pi))
+    expo = -0.5 / config.kernel_sd ** 2
+
+    rng = np.random.default_rng(seed)
+    t_weights = (np.arange(1, n + 1) + 1.0) ** (-0.67)
+    sweeps = config.sweeps
+    orders = np.array([rng.permutation(n) for _ in range(sweeps)])
+    z_steps = np.ascontiguousarray(z[orders].T)
+    f0_steps = np.ascontiguousarray(f0_at_z[orders].T)
+
+    mass = np.tile(trapw / trapw.sum(), (sweeps, 1))
+    pi1 = np.full(sweeps, 0.1)
+    kern = np.empty((sweeps, m))
+    kern_dot_mass = np.empty(sweeps)
+    for t in range(n):
+        w = t_weights[t]
+        np.subtract(z_steps[t][:, None], u, out=kern)
+        np.multiply(kern, kern, out=kern)
+        np.multiply(kern, expo, out=kern)
+        np.exp(kern, out=kern)
+        np.einsum("ij,ij->i", kern, mass, out=kern_dot_mass)
+        f1_at_z = (kern_norm * pi1) * kern_dot_mass
+        denom = (1.0 - pi1) * f0_steps[t] + f1_at_z
+        pi1_new = (1.0 - w) * pi1 + w * (f1_at_z / denom)
+        alpha = (1.0 - w) * pi1 / pi1_new
+        beta = (w * kern_norm) * pi1 / (denom * pi1_new)
+        np.multiply(kern, beta[:, None], out=kern)
+        np.add(kern, alpha[:, None], out=kern)
+        np.multiply(mass, kern, out=mass)
+        pi1 = pi1_new
+
+    mass /= mass.sum(axis=1, keepdims=True)
+    return mass.mean(axis=0), min(max(float(pi1.mean()), 0.0), 1.0)
+
+
+class TestStepBlocks:
+    """The recursion streamed by step blocks gives the lockstep loop's
+    answers bit for bit, in working memory that grows only by its step
+    orders."""
+
+    _mixture = staticmethod(TestRecursionOracle._mixture)
+
+    def _check(self, z, seed=4, f0_loc=0.0, f0_scale=1.0, **recursion):
+        config = RecursionConfig(**recursion)
+        f1, pi1 = estimate_alternative(z, config=config, seed=seed,
+                                       f0_loc=f0_loc, f0_scale=f0_scale)
+        weights, pi1_ref = _lockstep_alternative(z, config, seed, f0_loc,
+                                                 f0_scale)
+        assert np.array_equal(f1.weights, weights)
+        assert pi1 == pi1_ref
+
+    @pytest.mark.parametrize("n", [_STEP_BLOCK - 1, _STEP_BLOCK,
+                                   _STEP_BLOCK + 1, 3 * _STEP_BLOCK + 5])
+    @pytest.mark.parametrize("sweeps", [1, 3, 10])
+    @pytest.mark.parametrize("kernel_sd", [0.25, 1.0])
+    def test_bit_identical_to_lockstep_loop(self, n, sweeps, kernel_sd):
+        self._check(self._mixture(n, seed=n), sweeps=sweeps,
+                    kernel_sd=kernel_sd)
+
+    def test_bit_identical_with_nondefault_null(self):
+        z = self._mixture(3 * _STEP_BLOCK + 5, seed=1) * 1.5 + 0.4
+        self._check(z, f0_loc=0.4, f0_scale=1.5, sweeps=3)
+
+    def test_memory_grows_only_by_the_step_orders(self):
+        """Per added row, the traced peak grows by at most the int32 step
+        orders and a few float64 vectors: 6 * sweeps + 64 bytes."""
+        sweeps, n = 10, 1000
+        peaks = []
+        for rows in (n, 2 * n):
+            z = self._mixture(rows)
+            tracemalloc.start()
+            try:
+                estimate_alternative(z, config=RecursionConfig(sweeps=sweeps))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / n <= 6 * sweeps + 64, peaks

@@ -24,6 +24,7 @@ from fdrkit.prior_net import (
     _SMALL_GEMM,
     _block_edges,
     _forward_cached,
+    _min_block_rows,
     expit,
 )
 
@@ -157,7 +158,7 @@ class TestForwardBlocks:
     def test_bit_identical_to_cached_pass_at_block_edges(self, k, hidden):
         rng = np.random.default_rng(11)
         p = self._net(k, hidden, rng)
-        B = _block_edges(p, 10 ** 9)[1]
+        B = _min_block_rows(p)
         for n in (1, 2, B - 1, B, B + 1, B + 2, 2 * B - 1, 2 * B, 2 * B + 1,
                   3 * B + 5):
             X = rng.standard_normal((n, k))
@@ -169,9 +170,9 @@ class TestForwardBlocks:
     def test_blocks_stay_on_the_full_size_kernels(self, hidden):
         p = init_network(NetworkConfig(input_dim=6, hidden_sizes=hidden))
         smallest = min(W.size for W in p.weights)
-        rows = _block_edges(p, 10 ** 9)[1]
+        rows = _min_block_rows(p)
         for n in (0, 1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows,
-                  2 * rows + 1, 7 * rows + 5):
+                  2 * rows + 1, 3 * rows - 1, 7 * rows + 5):
             edges = _block_edges(p, n)
             assert edges[0] == 0 and edges[-1] == n
             sizes = np.diff(edges)
@@ -181,6 +182,7 @@ class TestForwardBlocks:
             assert all(lo % _ROW_TILE == 0 for lo in edges[:-1])
             assert sizes.min() * smallest > _SMALL_GEMM
             assert sizes.max() < 2 * rows
+            assert sizes.max() - sizes.min() < 2 * _ROW_TILE
 
     def test_memory_does_not_grow_with_the_table(self):
         rng = np.random.default_rng(3)
@@ -219,7 +221,7 @@ class TestOnePass:
             return raw(params, X)
 
         monkeypatch.setattr(prior_net, "_forward_cached", spy)
-        B = _block_edges(p, 10 ** 9)[1]
+        B = _min_block_rows(p)
         rng = np.random.default_rng(0)
         for n in (1, B, 2 * B, 3 * B + 7):
             seen.clear()
