@@ -25,6 +25,8 @@ import contextlib
 import copy
 import csv
 import io
+import math
+import numbers
 import re
 from array import array
 from dataclasses import dataclass, fields
@@ -45,9 +47,9 @@ _CONST_TOL = 1e-12
 #: traced peak grows with the block: 0.17 MB at 64 rows, 10 MB at 4096,
 #: which also raised the process's peak RSS by 3.6 MB.
 _WRITE_BLOCK = 64
-#: bytes that ``np.loadtxt`` strips from a number as whitespace
+#: characters that ``np.loadtxt`` strips from a number as whitespace
 #: (``str.isspace()`` is true for them) but ``float()`` rejects
-_SEPARATORS = b"\x1c\x1d\x1e\x1f"
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 #: bytes, or characters of body text, that one read takes from a file:
 #: the most of a body ``load_table`` holds at once on its one-pass read
 _READ_HINT = 1 << 20
@@ -64,6 +66,25 @@ def _frozen(a, dtype=np.float64, ndmin=1) -> np.ndarray:
     a = np.array(a, dtype=dtype, order="C", ndmin=ndmin)
     a.flags.writeable = False
     return a
+
+
+def _check_types(record) -> None:
+    """Raise ``DomainError`` naming the first field of the settings
+    dataclass ``record`` that its annotation refuses: an ``int`` field
+    must hold an integer and not a bool, a ``float`` field a finite real.
+
+    The annotations are read as text, so the record's module imports
+    ``annotations`` from ``__future__``.
+    """
+    for f in fields(record):  # f.type is the annotation's text
+        value = getattr(record, f.name)
+        if f.type == "int" and (isinstance(value, bool) or
+                                not isinstance(value, numbers.Integral)):
+            raise DomainError(f"{f.name} must be an integer, not {value!r}")
+        if f.type == "float" and not (isinstance(value, numbers.Real)
+                                      and math.isfinite(value)):
+            raise DomainError(
+                f"{f.name} must be a finite number, not {value!r}")
 
 
 class Record:
@@ -302,26 +323,21 @@ def _check_utf8(path, src) -> None:
             return
 
 
-def _has_separators(fh) -> bool:
-    """Whether the binary file ``fh`` holds a ``_SEPARATORS`` byte after
-    its position; read a block at a time."""
-    while block := fh.read(_READ_HINT):
-        if any(c in block for c in _SEPARATORS):
-            return True
-    return False
-
-
 def _checked_lines(first: str, text, counted: list[int]):
     """``first`` and the rest of ``text``'s lines, read ``_READ_HINT``
     characters at a time; ``counted[0]`` counts them.
 
     Raises ``ValueError`` at a block that holds a line longer than
-    ``csv``'s field limit, which ``csv`` refuses.
+    ``csv``'s field limit, which ``csv`` refuses, or a ``_SEPARATORS``
+    character, which the two parsers read differently.
     """
     block, limit = [first], csv.field_size_limit()
     while block:
         if max(map(len, block)) > limit:
             raise ValueError("a line is longer than csv's field limit")
+        chunk = "".join(block)
+        if any(c in chunk for c in _SEPARATORS):
+            raise ValueError("a line holds a separator character")
         counted[0] += len(block)
         yield from block
         block = text.readlines(_READ_HINT)
@@ -341,7 +357,7 @@ def _parse_body(text, dtype: np.dtype, usecols: list[int]):
         cols = np.loadtxt(_checked_lines(first, text, counted), dtype=dtype,
                           delimiter=",", comments=None, quotechar='"',
                           usecols=usecols, ndmin=1)
-    except ValueError:  # a bad cell, a long line or a UnicodeDecodeError
+    except ValueError:  # a bad cell, a long line, a separator or bad UTF-8
         return None
     # one row per line: no blank line skipped, no quoted line break
     return cols if cols.shape[0] == counted[0] else None
@@ -396,8 +412,8 @@ def load_table(path, *, blocks=COVARIATE_BLOCKS) -> HypothesisTable:
     One ``np.loadtxt`` pass reads the body a block of lines at a time
     (see the module docstring). Wherever that pass fails or may read
     otherwise (a cell it cannot convert, a blank line, a quoted line
-    break, a byte in ``_SEPARATORS``, a line longer than ``csv``'s field
-    limit, or bytes that are not UTF-8), the file is rewound and a
+    break, a character in ``_SEPARATORS``, a line longer than ``csv``'s
+    field limit, or bytes that are not UTF-8), the file is rewound and a
     per-cell ``csv`` + ``float()`` loop streams the body row by row,
     checks each row's cells left to right, and names the first bad one.
     A byte that is not UTF-8 is named before any other fault.
@@ -430,12 +446,10 @@ def load_table(path, *, blocks=COVARIATE_BLOCKS) -> HypothesisTable:
         # a pipe cannot be read twice, so it is read once, into memory
         src = fh if fh.seekable() else io.BytesIO(fh.read())
         try:
-            per_cell = _has_separators(src)
-            src.seek(0)
             with _text(src) as text:
                 layout = _layout(_header(path, csv.reader(text)), blocks)
-                cols = None if per_cell else _parse_body(
-                    text, layout.dtype, [layout.pos[c] for c in layout.names])
+                cols = _parse_body(text, layout.dtype,
+                                   [layout.pos[c] for c in layout.names])
             if cols is None:
                 src.seek(0)
                 with _text(src) as text:

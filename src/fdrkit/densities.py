@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Record, _frozen
+from .data_model import Record, _check_types, _frozen
 from .errors import DomainError, InsufficientDataError
 
 #: evaluation floor; keeps log-likelihoods finite for extreme z
@@ -125,9 +125,15 @@ class MixtureDensity(Record):
 
 
 def null_pdf(z, loc: float = 0.0, scale: float = 1.0):
-    """Gaussian density at z; the default N(0,1) is the null model."""
-    if scale <= 0:
-        raise DomainError("scale must be positive")
+    """Gaussian density at z; the default N(0,1) is the null model.
+
+    A non-finite ``loc`` or ``scale``, or a ``scale`` that is not
+    positive, raises ``DomainError``.
+    """
+    if not math.isfinite(loc):
+        raise DomainError(f"loc must be finite, not {loc!r}")
+    if not 0 < scale < math.inf:
+        raise DomainError(f"scale must be positive and finite, not {scale!r}")
     z = np.asarray(z, dtype=np.float64)
     u = (z - loc) / scale
     out = np.exp(-0.5 * u * u) / (scale * math.sqrt(2.0 * math.pi))
@@ -151,12 +157,9 @@ class RecursionConfig:
     kernel_sd: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.sweeps, bool) or not isinstance(self.sweeps,
-                                                           numbers.Integral):
-            raise DomainError(f"sweeps must be an integer, not {self.sweeps!r}")
-        if self.sweeps < 1 or not 0 < self.kernel_sd < math.inf:
-            raise DomainError(
-                "sweeps must be >= 1 and kernel_sd positive and finite")
+        _check_types(self)
+        if self.sweeps < 1 or self.kernel_sd <= 0:
+            raise DomainError("sweeps must be >= 1 and kernel_sd positive")
 
 
 def estimate_alternative(
@@ -175,8 +178,9 @@ def estimate_alternative(
     averages the resulting mixing weights and mass estimates. The passes
     advance together, one step over all of them at a time, with the
     kernels taken ``_STEP_BLOCK`` steps at a time (see the module
-    docstring). Deterministic given ``seed``; a negative ``seed`` raises
-    ``DomainError``.
+    docstring). Deterministic given ``seed``. A ``seed`` that is not a
+    non-negative integer, or a non-finite null, raises ``DomainError``
+    before any work.
 
     Returns
     -------
@@ -184,6 +188,8 @@ def estimate_alternative(
         The alternative density as a Gaussian location mixture, and the
         estimated alternative mass in [0, 1].
     """
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise DomainError(f"seed must be an integer, not {seed!r}")
     if seed < 0:
         raise DomainError("seed must be non-negative")
     z = np.asarray(z, dtype=np.float64).ravel()

@@ -9,35 +9,28 @@ framework.
 ``_forward_cached`` is the one home of the arithmetic. Its cache, each
 layer's input and the output pre-activation, is all that ``backward``
 reads, so an SGD step runs forward once. ``forward``, the pass over
-whole tables, runs it one row block at a time and drops each cache, so
-it holds one block's activations instead of every row's. A block's
-products equal the full-size products bit for bit as long as each row is
-computed by the same BLAS kernel in the same place of its tile. OpenBLAS
-runs a product of at most ``_SMALL_GEMM`` multiply-adds through a
-small-matrix kernel that rounds differently, numpy sends a one-row
-product to ``gemv``, and the rows left over after the last full tile of
-a product round differently too. So each block is large enough for the
-large kernel and starts on a tile boundary, only the last block holds
-rows past the last whole tile, and a table too small for two such
-blocks is one block.
+whole tables, runs it on consecutive slices of ``_BLOCK_ROWS`` rows and
+drops each cache, so it holds one block's activations instead of every
+row's. A table of at most ``_BLOCK_ROWS`` rows is one slice, so one
+pass. A larger table's outputs can differ from one pass over every row
+in the last bits, because BLAS may round a block's matrix product
+differently from the whole table's.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data_model import _check_types
 from .errors import DomainError, NumericError, ShapeError
 
-# OpenBLAS (0.3.31, SkylakeX kernels) runs a product of at most this many
-# multiply-adds (rows x fan_in x fan_out) through a small-matrix kernel,
-# which rounds differently from the kernel of a larger product
-_SMALL_GEMM = 100 ** 3
-# ``forward``'s blocks start on multiples of this many rows, so their rows
-# fill the kernel's row tiles (12 rows there) as in the full product
-_ROW_TILE = 48
+#: rows per slice of ``forward``; bounds its working memory to one
+#: block's activations
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -59,10 +52,14 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        _check_types(self)
         if self.input_dim < 1:
             raise DomainError("input_dim must be >= 1")
-        if not self.hidden_sizes or any(h < 1 for h in self.hidden_sizes):
-            raise DomainError("hidden_sizes must be nonempty positive integers")
+        if not self.hidden_sizes or any(
+                isinstance(h, bool) or not isinstance(h, numbers.Integral)
+                or h < 1 for h in self.hidden_sizes):
+            raise DomainError("hidden_sizes must be nonempty positive "
+                              f"integers, not {self.hidden_sizes!r}")
         if self.output_floor <= 0:
             raise DomainError("output_floor must be positive")
 
@@ -198,44 +195,21 @@ def _forward_cached(params: NetworkParams, X: np.ndarray):
     return a, b, (acts, h)
 
 
-def _min_block_rows(params: NetworkParams) -> int:
-    """The fewest rows, in whole ``_ROW_TILE``s, that keep every layer's
-    product above ``_SMALL_GEMM``: 2544 for a 200,200 network with at
-    least two inputs."""
-    rows = _SMALL_GEMM // min(W.size for W in params.weights) + 1
-    return -(-rows // _ROW_TILE) * _ROW_TILE
-
-
-def _block_edges(params: NetworkParams, n: int) -> list[int]:
-    """Row offsets of ``forward``'s blocks.
-
-    A table of fewer than two ``_min_block_rows`` is one block. A larger
-    one has as many blocks as that minimum fits into it whole. The
-    table's whole ``_ROW_TILE``s are spread over them as evenly as they
-    go, and the rows after the last whole tile join the last block. So
-    every block starts on a tile, none is below the minimum, and their
-    sizes differ by less than two tiles: at 10,000 rows a 200,200
-    network runs blocks of 3312, 3312 and 3376 rows.
-    """
-    count = max(n // _min_block_rows(params), 1)
-    tiles = n // _ROW_TILE
-    return [*(_ROW_TILE * (tiles * i // count) for i in range(count)), n]
-
-
 def forward(params: NetworkParams, x):
     """Map covariates to a strictly positive Beta parameter pair.
 
     Accepts a single vector or an (n, input_dim) batch; returns floats
-    or a pair of arrays accordingly. Runs ``_forward_cached`` on each row
-    block of ``_block_edges`` and binds no cache, so beyond its inputs
-    and outputs it holds one block's activations, whatever n. The outputs
-    are bit-identical to one pass over every row (see the module docstring).
+    or a pair of arrays accordingly. Runs ``_forward_cached`` on each
+    slice of ``_BLOCK_ROWS`` rows and binds no cache, so beyond its
+    inputs and outputs it holds one block's activations, whatever n (see
+    the module docstring).
     """
     X, single = _as_batch(params, x)
-    a, b = np.empty(X.shape[0]), np.empty(X.shape[0])
-    edges = _block_edges(params, X.shape[0])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        a[lo:hi], b[lo:hi] = _forward_cached(params, X[lo:hi])[:2]
+    n = X.shape[0]
+    a, b = np.empty(n), np.empty(n)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        a[rows], b[rows] = _forward_cached(params, X[rows])[:2]
     if single:
         return float(a[0]), float(b[0])
     return a, b

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data_model import HypothesisTable
+from .data_model import HypothesisTable, _check_types
 from .errors import DomainError
 from .prior_net import expit
 
@@ -47,6 +47,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.n < 1 or self.k < 1 or self.q < 0:
             raise DomainError("need n >= 1, k >= 1, q >= 0")
         if self.seed < 0:

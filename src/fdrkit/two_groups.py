@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +36,7 @@ from .data_model import (
     COVARIATE_BLOCKS,
     CovariateScaling,
     HypothesisTable,
+    _check_types,
     _frozen,
     standardize_covariates,
 )
@@ -216,15 +216,7 @@ class TrainingConfig:
     f1_sweeps: int = 10
 
     def __post_init__(self):
-        for f in fields(self):  # f.type is the annotation's text
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or
-                                    not isinstance(value, numbers.Integral)):
-                raise DomainError(f"{f.name} must be an integer, not {value!r}")
-            if f.type == "float" and not (isinstance(value, numbers.Real)
-                                          and math.isfinite(value)):
-                raise DomainError(
-                    f"{f.name} must be a finite number, not {value!r}")
+        _check_types(self)
         if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise DomainError("lr, epochs and batch_size must be positive")
         if self.weight_decay < 0 or not 0.0 <= self.momentum < 1.0:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import math
 import os
 import threading
 import tracemalloc
@@ -14,9 +15,13 @@ from fdrkit import (
     DomainError,
     HypothesisTable,
     InsufficientDataError,
+    NetworkConfig,
+    RecursionConfig,
+    ScenarioConfig,
     SchemaError,
     TableParseError,
     TableValidationError,
+    generate,
     load_table,
     standardize_covariates,
     write_table,
@@ -295,7 +300,7 @@ class TestLoadTableContract:
         (["", "r1,5,6,7,8,1"], "\n", [False]),
         (['"r\n0",1,2,3,4,0'], "\n", [False]),
         (["r0,1_0,2,3,4,0"], "\n", [False]),
-        (["r0,1,2,3,4,0", "r1,5,6,7,8,1\x1c"], "\n", []),
+        (["r0,1,2,3,4,0", "r1,5,6,7,8,1\x1c"], "\n", [False]),
     ])
     def test_loadtxt_pass_kept_only_where_it_agrees(self, tmp_path, monkeypatch,
                                                       rows, end, kept):
@@ -311,6 +316,26 @@ class TestLoadTableContract:
         with contextlib.suppress(TableParseError):
             self._load(tmp_path, rows, end=end)
         assert seen == kept
+
+    def test_the_file_is_read_once(self, tmp_path, monkeypatch):
+        """The ``np.loadtxt`` pass looks for ``_SEPARATORS`` in the lines
+        it reads, so a table it keeps is read from disk once."""
+        path = tmp_path / "t.csv"
+        write_table(generate(ScenarioConfig(n=2000, seed=1)), path)
+        read = [0]
+
+        class Counting(io.FileIO):
+            def readinto(self, buf):
+                got = super().readinto(buf)
+                read[0] += got or 0
+                return got
+
+        def counting_open(path, mode):
+            return io.BufferedReader(Counting(path))
+
+        monkeypatch.setattr(data_model, "open", counting_open, raising=False)
+        assert load_table(path).n == 2000
+        assert read[0] == path.stat().st_size
 
     def test_field_over_the_csv_limit_is_refused_as_csv_refuses_it(self, tmp_path):
         long_id = "r" * (csv.field_size_limit() + 1)
@@ -655,6 +680,28 @@ def test_records_holding_arrays_compare_by_identity_and_hash():
         one, other = make(), make()
         assert one == one and one != other
         assert hash(one) != hash(other) and len({one, one, other}) == 2
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: generate(ScenarioConfig(n=2000, covariate_signal=math.nan)),
+     "covariate_signal"),
+    (lambda: ScenarioConfig(alt_sd=math.nan), "alt_sd"),
+    (lambda: ScenarioConfig(alt_mean=math.nan), "alt_mean"),
+    (lambda: ScenarioConfig(n=2.5), "n"),
+    (lambda: ScenarioConfig(k=1.5), "k"),
+    (lambda: NetworkConfig(input_dim=2.5), "input_dim"),
+    (lambda: NetworkConfig(input_dim=2, hidden_sizes=(2.5,)), "hidden_sizes"),
+    (lambda: NetworkConfig(input_dim=2, output_floor=math.nan), "output_floor"),
+    (lambda: NetworkConfig(input_dim=2, output_floor=math.inf), "output_floor"),
+    (lambda: RecursionConfig(kernel_sd="1"), "kernel_sd"),
+], ids=["covariate_signal_nan", "alt_sd_nan", "alt_mean_nan", "n_float",
+        "k_float", "input_dim_float", "hidden_size_float", "output_floor_nan",
+        "output_floor_inf", "kernel_sd_str"])
+def test_settings_records_check_their_field_types(make, field):
+    """Every settings record checks each field against its annotation
+    first, and names the field it refuses."""
+    with pytest.raises(DomainError, match=rf"^{field} must be "):
+        make()
 
 
 class TestCovariateScaling:

@@ -206,12 +206,28 @@ class TestEstimateAlternative:
 
     @pytest.mark.parametrize("sd", [math.inf, math.nan])
     def test_kernel_sd_must_be_finite(self, sd):
-        with pytest.raises(DomainError, match="kernel_sd positive and finite"):
+        with pytest.raises(DomainError, match="kernel_sd must be a finite number"):
             RecursionConfig(kernel_sd=sd)
 
     def test_negative_seed_refused(self):
         with pytest.raises(DomainError, match="seed must be non-negative"):
             estimate_alternative(np.linspace(-3.0, 3.0, 50), seed=-1)
+
+    @pytest.mark.parametrize("kw, shown", [
+        ({"f0_loc": math.nan}, "loc must be finite"),
+        ({"f0_scale": math.nan}, "scale must be positive"),
+        ({"f0_scale": math.inf}, "scale must be positive"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+    ])
+    def test_null_and_seed_refused_before_any_work(self, monkeypatch, kw,
+                                                   shown):
+        def no_recursion(*args):
+            raise AssertionError("the recursion started")
+
+        monkeypatch.setattr(np.random, "default_rng", no_recursion)
+        with pytest.raises(DomainError, match=shown):
+            estimate_alternative(np.linspace(-3.0, 3.0, 50), **kw)
 
     def test_grid_must_cover_range(self):
         with pytest.raises(DomainError, match="cover"):

@@ -19,14 +19,7 @@ from fdrkit import (
     prior_net,
     softplus,
 )
-from fdrkit.prior_net import (
-    _ROW_TILE,
-    _SMALL_GEMM,
-    _block_edges,
-    _forward_cached,
-    _min_block_rows,
-    expit,
-)
+from fdrkit.prior_net import _BLOCK_ROWS, _forward_cached, expit
 
 
 def zero_params(input_dim=3, hidden=(4,), floor=1e-3):
@@ -141,7 +134,8 @@ class TestExpit:
 
 
 class TestForwardBlocks:
-    """``forward`` runs the network in row blocks with the one-shot answers."""
+    """``forward`` is ``_forward_cached`` on each 1024-row slice, bit for
+    bit, so one pass up to 1024 rows and within 1e-13 of one above."""
 
     @staticmethod
     def _net(k, hidden, rng):
@@ -155,34 +149,23 @@ class TestForwardBlocks:
         (2, (1,)), (5, (9, 7)), (10, (200, 200)), (4, (30, 20, 10)),
         (12, (300, 150)),
     ])
-    def test_bit_identical_to_cached_pass_at_block_edges(self, k, hidden):
+    def test_bit_identical_to_cached_pass_on_each_slice(self, k, hidden):
         rng = np.random.default_rng(11)
         p = self._net(k, hidden, rng)
-        B = _min_block_rows(p)
-        for n in (1, 2, B - 1, B, B + 1, B + 2, 2 * B - 1, 2 * B, 2 * B + 1,
-                  3 * B + 5):
+        assert _BLOCK_ROWS == 1024
+        for n in (1, 2, 1023, 1024, 1025, 2048, 3 * 1024 + 5):
             X = rng.standard_normal((n, k))
             a, b = forward(p, X)
-            a_ref, b_ref, _ = _forward_cached(p, X)
+            slices = [_forward_cached(p, X[lo:lo + 1024])[:2]
+                      for lo in range(0, n, 1024)]
+            a_ref, b_ref = (np.concatenate(c) for c in zip(*slices))
             assert np.array_equal(a, a_ref) and np.array_equal(b, b_ref), n
-
-    @pytest.mark.parametrize("hidden", [(1,), (9, 7), (200, 200), (500, 3)])
-    def test_blocks_stay_on_the_full_size_kernels(self, hidden):
-        p = init_network(NetworkConfig(input_dim=6, hidden_sizes=hidden))
-        smallest = min(W.size for W in p.weights)
-        rows = _min_block_rows(p)
-        for n in (0, 1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows,
-                  2 * rows + 1, 3 * rows - 1, 7 * rows + 5):
-            edges = _block_edges(p, n)
-            assert edges[0] == 0 and edges[-1] == n
-            sizes = np.diff(edges)
-            if n < 2 * rows:
-                assert len(sizes) == 1
-                continue
-            assert all(lo % _ROW_TILE == 0 for lo in edges[:-1])
-            assert sizes.min() * smallest > _SMALL_GEMM
-            assert sizes.max() < 2 * rows
-            assert sizes.max() - sizes.min() < 2 * _ROW_TILE
+            a_one, b_one, _ = _forward_cached(p, X)
+            if n <= 1024:
+                assert np.array_equal(a, a_one) and np.array_equal(b, b_one)
+            else:
+                np.testing.assert_allclose(a, a_one, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(b, b_one, rtol=1e-13, atol=0)
 
     def test_memory_does_not_grow_with_the_table(self):
         rng = np.random.default_rng(3)
@@ -221,16 +204,15 @@ class TestOnePass:
             return raw(params, X)
 
         monkeypatch.setattr(prior_net, "_forward_cached", spy)
-        B = _min_block_rows(p)
         rng = np.random.default_rng(0)
-        for n in (1, B, 2 * B, 3 * B + 7):
+        for n in (1, 1024, 2048, 3 * 1024 + 7):
             seen.clear()
             X = rng.standard_normal((n, 3))
             forward(p, X)
-            edges = _block_edges(p, n)
-            assert len(seen) == len(edges) - 1, n
-            for lo, hi, block in zip(edges[:-1], edges[1:], seen):
-                np.testing.assert_array_equal(block, X[lo:hi])
+            starts = range(0, n, 1024)
+            assert len(seen) == len(starts), n
+            for lo, block in zip(starts, seen):
+                np.testing.assert_array_equal(block, X[lo:lo + 1024])
 
     @pytest.mark.parametrize("hidden", [(1,), (6, 5), (7, 4, 3)])
     def test_cache_holds_the_layer_inputs_and_the_output(self, hidden):
