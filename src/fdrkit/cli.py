@@ -34,6 +34,7 @@ from .two_groups import (
     VARIANTS,
     FittedModel,
     TrainingConfig,
+    _usable_cpus,
     fdp_power,
     posteriors,
     select_discoveries,
@@ -351,18 +352,13 @@ def _benchmark_cell(cell, scenario, n_override, alpha, hidden, config):
 
 
 def _worker_count(training_cells: int) -> int:
-    """Processes to run ``benchmark``'s cells on: one per usable CPU, at
-    most one per training cell, and 1 (this process) unless this process
-    has a single thread. That is when ``fork`` is safe, and when numpy's
-    BLAS runs one thread, so each worker does too; a pool beside a
-    multi-threaded BLAS oversubscribes the CPUs and runs slower than one
-    process."""
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-        cpus = len(os.sched_getaffinity(0))
-    except (OSError, AttributeError):  # no /proc, or no affinity call
-        return 1
-    return max(1, min(training_cells, cpus)) if threads == 1 else 1
+    """Processes to run ``benchmark``'s cells on: one per CPU this process
+    can compute on (``_usable_cpus``), at most one per training cell.
+    That is 1 (this process) unless this process has a single thread,
+    which is when ``fork`` is safe, and when numpy's BLAS runs one
+    thread, so each worker does too; a pool beside a multi-threaded BLAS
+    oversubscribes the CPUs and runs slower than one process."""
+    return max(1, min(training_cells, _usable_cpus()))
 
 
 def _map_cells(run, cells, workers: int) -> list:

@@ -71,7 +71,8 @@ def _frozen(a, dtype=np.float64, ndmin=1) -> np.ndarray:
 def _check_types(record) -> None:
     """Raise ``DomainError`` naming the first field of the settings
     dataclass ``record`` that its annotation refuses: an ``int`` field
-    must hold an integer and not a bool, a ``float`` field a finite real.
+    must hold an integer and not a bool, a ``float`` field a finite real,
+    and a ``bool`` field a bool.
 
     The annotations are read as text, so the record's module imports
     ``annotations`` from ``__future__``.
@@ -85,6 +86,8 @@ def _check_types(record) -> None:
                                       and math.isfinite(value)):
             raise DomainError(
                 f"{f.name} must be a finite number, not {value!r}")
+        if f.type == "bool" and not isinstance(value, bool):
+            raise DomainError(f"{f.name} must be a bool, not {value!r}")
 
 
 class Record:

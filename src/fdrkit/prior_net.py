@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,15 +52,17 @@ class NetworkConfig:
     output_floor: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        if isinstance(self.hidden_sizes, Iterable):
+            object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         _check_types(self)
         if self.input_dim < 1:
             raise DomainError("input_dim must be >= 1")
-        if not self.hidden_sizes or any(
+        sizes = self.hidden_sizes
+        if not isinstance(sizes, tuple) or not sizes or any(
                 isinstance(h, bool) or not isinstance(h, numbers.Integral)
-                or h < 1 for h in self.hidden_sizes):
+                or h < 1 for h in sizes):
             raise DomainError("hidden_sizes must be nonempty positive "
-                              f"integers, not {self.hidden_sizes!r}")
+                              f"integers, not {sizes!r}")
         if self.output_floor <= 0:
             raise DomainError("output_floor must be positive")
 

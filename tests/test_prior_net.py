@@ -31,6 +31,14 @@ def zero_params(input_dim=3, hidden=(4,), floor=1e-3):
     return p
 
 
+class TestNetworkConfig:
+    @pytest.mark.parametrize("hidden", [None, 5, (), (4, 0), (4, True)])
+    def test_bad_hidden_sizes_refused(self, hidden):
+        with pytest.raises(DomainError, match="hidden_sizes must be "
+                           "nonempty positive integers, not"):
+            NetworkConfig(input_dim=2, hidden_sizes=hidden)
+
+
 class TestInit:
     def test_deterministic(self):
         cfg = NetworkConfig(input_dim=10, hidden_sizes=(200, 200))

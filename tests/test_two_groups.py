@@ -2,6 +2,9 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from fdrkit import (
     train,
     write_table,
 )
-from fdrkit import prior_net, two_groups
+from fdrkit import cli, prior_net, two_groups
 from fdrkit.densities import DENSITY_FLOOR, eval_density, null_pdf
 from fdrkit.prior_net import grad_check
 from fdrkit.two_groups import _fit_seeds, _loss_and_grads, _nll_terms
@@ -195,6 +198,130 @@ class TestPosteriorAlt:
         f1z = rng.uniform(1e-10, 1, size=500)
         w = posterior_alt(a, b, f0z, f1z)
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
+
+
+def _sliced_posterior(a, b, f0z, f1z, grid_size):
+    """The posterior quadrature as it ran before it used blocks and
+    threads: one loop over 1024-row slices, each through whole-slice
+    temporaries."""
+    af, bf, f0f, f1f, shape = two_groups._check_shapes(a, b, f0z, f1z)
+    lam, base, logs = two_groups._lambda_grid(grid_size)
+    out = np.empty(af.shape[0])
+    for lo in range(0, af.shape[0], 1024):
+        sl = slice(lo, lo + 1024)
+        logw = np.column_stack((af[sl], bf[sl])) @ logs
+        logw += base
+        logw -= logw.max(axis=1, keepdims=True)
+        w = np.exp(logw, out=logw)
+        w /= w.sum(axis=1, keepdims=True)
+        num = lam[None, :] * f1f[sl, None]
+        den = num + (1.0 - lam[None, :]) * f0f[sl, None]
+        out[sl] = (w * (num / den)).sum(axis=1)
+    out = np.clip(out, 0.0, 1.0)
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def _posterior_inputs(n, seed):
+    """Beta parameters in the fitted domain [0.5, 1e3] and densities."""
+    rng = np.random.default_rng(seed)
+    a, b = np.exp(rng.uniform(math.log(0.5), math.log(1e3), size=(2, n)))
+    return a, b, rng.uniform(0, 1, size=n), rng.uniform(1e-9, 1, size=n)
+
+
+class TestPosteriorParts:
+    @pytest.fixture
+    def parts(self, monkeypatch):
+        """``parts(k)`` splits every table into up to k parts, one per
+        slice at most, and records each part's rows and thread."""
+        calls = []
+        run = two_groups._posterior_rows
+
+        def recorded(*args):
+            calls.append((*args[:2], threading.get_native_id()))
+            run(*args)
+
+        def force(k, min_chunks=1):
+            monkeypatch.setattr(two_groups, "_usable_cpus", lambda: k)
+            monkeypatch.setattr(two_groups, "_MIN_PART_CHUNKS", min_chunks)
+            return calls
+
+        monkeypatch.setattr(two_groups, "_posterior_rows", recorded)
+        return force
+
+    @pytest.mark.parametrize("grid_size", [500, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bit_identical_to_the_sliced_loop(self, parts, k, grid_size):
+        parts(k)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as it can
+        try:
+            for n in (1, 2, 127, 128, 129, 511, 512, 513, 5000, 20003):
+                args = _posterior_inputs(n, seed=n)
+                got = posterior_alt(*args, grid_size=grid_size)
+                want = _sliced_posterior(*args, grid_size)
+                assert np.array_equal(got, want), n
+            got = posterior_alt(2.0, 3.0, 0.3, 0.6, grid_size=grid_size)
+        finally:
+            sys.setswitchinterval(interval)
+        assert type(got) is float
+        assert got == _sliced_posterior(2.0, 3.0, 0.3, 0.6, grid_size)
+
+    @pytest.mark.parametrize("n, k, min_chunks, rows", [
+        (1, 3, 1, [(0, 1)]),
+        (0, 2, 1, [(0, 0)]),
+        (2048, 3, 1, [(0, 1024), (1024, 2048)]),
+        (5000, 3, 1, [(0, 1024), (1024, 3072), (3072, 5000)]),
+        (5000, 4, 8, [(0, 5000)]),  # a small table stays on one thread
+        (16384, 4, 8, [(0, 8192), (8192, 16384)]),
+        (40000, 4, 8, [(0, 10240), (10240, 20480), (20480, 30720),
+                       (30720, 40000)]),
+        (40000, 1, 8, [(0, 40000)]),
+    ])
+    def test_parts_tile_the_rows_on_slice_edges(self, parts, n, k,
+                                                min_chunks, rows):
+        calls = parts(k, min_chunks)
+        posterior_alt(*_posterior_inputs(n, seed=0), grid_size=2)
+        assert sorted(c[:2] for c in calls) == rows
+        assert min(calls)[2] == threading.get_native_id()  # the first part
+        assert len({c[2] for c in calls}) == len(rows)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc")
+    def test_no_thread_outlives_a_call(self, parts):
+        calls = parts(2, two_groups._MIN_PART_CHUNKS)
+
+        def threads():
+            return (threading.active_count(),
+                    len(os.listdir("/proc/self/task")), cli._worker_count(2))
+
+        before = threads()
+        posterior_alt(*_posterior_inputs(20000, seed=5), grid_size=500)
+        assert threads() == before
+        assert len({c[2] for c in calls}) == 2
+
+    @pytest.mark.parametrize("failing", [0, 1024, 3072])
+    def test_a_failing_part_raises_its_error_after_every_join(
+            self, parts, monkeypatch, failing):
+        parts(3)
+        run = two_groups._posterior_rows
+        err = NumericError(f"part at row {failing}")
+
+        def rows(*args):
+            if args[0] == failing:
+                raise err
+            run(*args)
+
+        monkeypatch.setattr(two_groups, "_posterior_rows", rows)
+        before = threading.active_count()
+        with pytest.raises(NumericError) as info:
+            posterior_alt(*_posterior_inputs(5000, seed=2), grid_size=500)
+        assert info.value is err
+        assert threading.active_count() == before
+
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.setattr(os, "listdir", lambda path: ["1"])
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert two_groups._usable_cpus() == 1
 
 
 class TestNllLoss:
@@ -497,6 +624,8 @@ class TestTrain:
         ({"epochs": 2.5}, "epochs must be an integer"),
         ({"lambda_grid_size": 300.5}, "lambda_grid_size must be an integer"),
         ({"batch_size": True}, "batch_size must be an integer"),
+        ({"standardize": "no"}, "standardize must be a bool, not 'no'"),
+        ({"apply_stage2": 0}, "apply_stage2 must be a bool, not 0"),
     ])
     def test_non_finite_rates_and_non_integer_counts_refused(self, kw,
                                                              message):
@@ -558,6 +687,13 @@ class TestModelIO:
         d = model.to_dict()
         d["format"] = "nope"
         with pytest.raises(DomainError):
+            FittedModel.from_dict(d)
+
+    def test_train_config_bools_checked(self, small_fit):
+        _, _, model = small_fit
+        d = model.to_dict()
+        d["train_config"]["standardize"] = "no"
+        with pytest.raises(DomainError, match="standardize must be a bool"):
             FittedModel.from_dict(d)
 
     def test_grid_model_file_rejected(self, small_fit):
