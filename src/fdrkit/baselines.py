@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import _csv_field, _frozen
-from .errors import DomainError
+from .errors import DomainError, ShapeError
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,9 +59,14 @@ class DiscoverySet:
 
         Lines end in a line feed; scores are shortest round-trip floats
         and ``rejected`` is 0 or 1. An id is quoted only when it must be
-        (see ``_csv_field``).
+        (see ``_csv_field``). ``ids``, one per test, default to the row
+        numbers; a count of ids other than the number of tests raises
+        ``ShapeError`` before the file is opened.
         """
-        ids = ids if ids is not None else range(len(self.scores))
+        n = len(self.scores)
+        ids = range(n) if ids is None else list(ids)
+        if len(ids) != n:
+            raise ShapeError(f"{len(ids)} ids for {n} tests")
         flags = self.rejected_mask().astype(np.int8).tolist()
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("id,score,rejected\n")

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import bh, storey_bh, z_to_pvalue
-from .data_model import load_table, write_table
+from .data_model import _usable_cpus, load_table, write_table
 from .errors import FdrkitError
 from .prior_net import NetworkConfig
 from .synthetic import SCENARIOS, generate, scenario_config
@@ -34,7 +34,6 @@ from .two_groups import (
     VARIANTS,
     FittedModel,
     TrainingConfig,
-    _usable_cpus,
     fdp_power,
     posteriors,
     select_discoveries,

@@ -27,7 +27,12 @@ import csv
 import io
 import math
 import numbers
+import os
 import re
+import shutil
+import signal
+import tempfile
+import traceback
 from array import array
 from dataclasses import dataclass, fields
 
@@ -42,17 +47,41 @@ from .errors import (
 )
 
 _CONST_TOL = 1e-12
-#: rows ``write_table`` formats at a time. Blocks of 16 to 4096 rows write
-#: a 50,000-row scenario-A table in the same 0.8-0.9 s (2 cores), but the
-#: traced peak grows with the block: 0.17 MB at 64 rows, 10 MB at 4096,
-#: which also raised the process's peak RSS by 3.6 MB.
+#: rows ``write_table`` formats at a time. On one CPU, blocks of 64 to 4096
+#: rows write a 50,000-row scenario-A table in the same 0.41-0.50 s (16
+#: rows: 0.44-0.67 s), but the traced peak grows with the block: 0.17 MB
+#: at 64 rows, 10 MB at 4096, which also raised the process's peak RSS by
+#: 3.6 MB.
 _WRITE_BLOCK = 64
+#: rows each part of a ``write_table`` holds at least, so a table of fewer
+#: than twice this many rows is written in this process. A forked part
+#: costs about 5-10 ms: two parts first beat one at 2,000-4,000 rows.
+_MIN_PART_ROWS = 8192
 #: characters that ``np.loadtxt`` strips from a number as whitespace
 #: (``str.isspace()`` is true for them) but ``float()`` rejects
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 #: bytes, or characters of body text, that one read takes from a file:
 #: the most of a body ``load_table`` holds at once on its one-pass read
 _READ_HINT = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process can compute on at once: one per CPU it may run
+    on (``os.sched_getaffinity``) while it has a single thread, else 1.
+
+    A process with one thread has started no BLAS threads, so numpy's
+    BLAS runs on the calling thread, and ``fork`` copies no thread that
+    could hold a lock. Beside BLAS threads, more threads oversubscribe
+    the CPUs: on 2 cores with BLAS unpinned, two parts of
+    ``posterior_alt`` at 100k rows took a median 0.63 s against 0.50 s
+    for one. Without /proc or an affinity call, 1.
+    """
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+        cpus = len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):  # no /proc, or no affinity call
+        return 1
+    return cpus if threads == 1 else 1
 
 
 def _frozen(a, dtype=np.float64, ndmin=1) -> np.ndarray:
@@ -498,6 +527,11 @@ def write_table(table: HypothesisTable, path):
     emitted only when truth labels are present. The bytes are those of
     ``csv.writer``'s default dialect: ids quoted only where they must be
     (see ``_csv_field``) and lines ending in ``\\r\\n``.
+
+    The rows are formatted ``_WRITE_BLOCK`` at a time, in one contiguous
+    part per usable CPU (``_usable_cpus``) of at least ``_MIN_PART_ROWS``
+    rows each; see ``_write_parts``. The bytes are the same however the
+    rows are split.
     """
     table.require(*COVARIATE_BLOCKS)
     header = ["id", "z", *(f"x{j}" for j in range(table.k)),
@@ -505,19 +539,95 @@ def write_table(table: HypothesisTable, path):
     if table.h_truth is not None:
         header.append("h")
     width = 1 + table.k + table.q
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, table.n, _WRITE_BLOCK):
-            block = slice(lo, lo + _WRITE_BLOCK)
+
+    def write_rows(out, lo, hi):
+        for start in range(lo, hi, _WRITE_BLOCK):
+            block = slice(start, min(start + _WRITE_BLOCK, hi))
             cells = list(map(repr, np.column_stack(
                 (table.z[block], table.X[block], table.Xa[block])
             ).ravel().tolist()))
             rows = range(0, len(cells), width)
             tails = (["\r\n"] * len(rows) if table.h_truth is None else
                      [f",{h}\r\n" for h in table.h_truth[block].tolist()])
-            fh.writelines(
+            out.writelines(
                 f"{_csv_field(rid)},{','.join(cells[i:i + width])}{tail}"
                 for rid, i, tail in zip(table.ids[block], rows, tails))
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        _write_parts(fh, write_rows, table.n)
+
+
+def _write_parts(fh, write_rows, n: int) -> None:
+    """Write rows ``0:n`` to the text file ``fh`` by ``write_rows(out, lo,
+    hi)``, in contiguous parts: one per usable CPU, each of at least
+    ``_MIN_PART_ROWS`` rows.
+
+    ``fh`` is flushed, and one child is forked per part after the first.
+    Each child writes its part into an anonymous ``tempfile.TemporaryFile``
+    spool it inherits, and leaves by ``os._exit``; this process writes
+    the first part itself, waits for every child, and copies the spools
+    onto ``fh`` in order. Forking is left to ``_usable_cpus``, which
+    allows more than one part only while this process has a single
+    thread, so no copied thread can hold a lock. A spool that cannot be
+    created keeps the write in this process. Every child has been waited
+    for, and every spool closed, when this returns or raises; a child
+    that fails raises ``OSError`` naming its rows.
+    """
+    parts = max(1, min(_usable_cpus(), n // _MIN_PART_ROWS))
+    edges = [i * n // parts for i in range(parts + 1)]
+    spools = []
+    try:
+        try:
+            for _ in range(parts - 1):
+                spools.append(tempfile.TemporaryFile())
+        except OSError:  # no spool: the whole table in this process
+            for spool in spools:
+                spool.close()
+            spools, edges = [], [0, n]
+        fh.flush()
+        pids = []
+        try:
+            for lo, hi, spool in zip(edges[1:], edges[2:], spools):
+                pid = os.fork()
+                if pid == 0:  # the child: it never returns
+                    _write_child(write_rows, spool, lo, hi)
+                pids.append(pid)
+            write_rows(fh, edges[0], edges[1])
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+        for lo, hi, status in zip(edges[1:], edges[2:], statuses):
+            if status:
+                raise OSError(f"writing table rows {lo}-{hi - 1} failed in a "
+                              f"forked process (exit code "
+                              f"{os.waitstatus_to_exitcode(status)})")
+        fh.flush()
+        for spool in spools:
+            spool.seek(0)
+            shutil.copyfileobj(spool, fh.buffer)
+    finally:
+        for spool in spools:
+            spool.close()
+
+
+def _write_child(write_rows, spool, lo: int, hi: int):
+    """In a forked child: write rows ``lo:hi`` into ``spool`` and leave
+    the process by ``os._exit``, with status 0 only if every byte reached
+    the spool. Nothing else of the parent's is flushed or run."""
+    status = 1
+    try:
+        out = io.TextIOWrapper(spool, encoding="utf-8", newline="")
+        write_rows(out, lo, hi)
+        out.flush()
+        status = 0
+    except BaseException:  # to the inherited stderr, past its buffer
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,6 +55,7 @@ from .data_model import (
     HypothesisTable,
     _check_types,
     _frozen,
+    _usable_cpus,
     standardize_covariates,
 )
 from .densities import (
@@ -137,24 +138,6 @@ def marginal_likelihood(a, b, f0z, f1z):
     af, bf, f0f, f1f, shape = _check_shapes(a, b, f0z, f1z)
     out = _nll_terms(af, bf, f0f, f1f)[3]
     return float(out[0]) if shape == () else out.reshape(shape)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process can compute on at once: one per CPU it may run
-    on (``os.sched_getaffinity``) while it has a single thread, else 1.
-
-    A process with one thread has started no BLAS threads, so numpy's
-    BLAS runs on the calling thread. Beside BLAS threads, more threads
-    oversubscribe the CPUs: on 2 cores with BLAS unpinned, two parts of
-    ``posterior_alt`` at 100k rows took a median 0.63 s against 0.50 s
-    for one. Without /proc or an affinity call, 1.
-    """
-    try:
-        threads = len(os.listdir("/proc/self/task"))
-        cpus = len(os.sched_getaffinity(0))
-    except (OSError, AttributeError):  # no /proc, or no affinity call
-        return 1
-    return cpus if threads == 1 else 1
 
 
 def posterior_alt(a, b, f0z, f1z, grid_size: int = 1000):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from fdrkit import DiscoverySet, DomainError, bh, storey_bh, z_to_pvalue
+from fdrkit import (
+    DiscoverySet,
+    DomainError,
+    ShapeError,
+    bh,
+    storey_bh,
+    z_to_pvalue,
+)
 
 
 def brute_force_step_up(p, alpha):
@@ -206,6 +213,22 @@ class TestDiscoverySet:
         assert lines[0] == "id,score,rejected"
         assert lines[1].startswith("a,") and lines[1].endswith(",1")
         assert lines[2].endswith(",0")
+
+    @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c", "d"], [],
+                                     iter("abcd")])
+    def test_csv_ids_must_match_the_tests(self, tmp_path, ids):
+        ds = bh([0.001, 0.5, 0.9], alpha=0.1)
+        path = tmp_path / "d.csv"
+        with pytest.raises(ShapeError, match=r"^[014] ids for 3 tests$"):
+            ds.write_csv(path, ids=ids)
+        assert not path.exists()
+
+    def test_csv_ids_from_any_iterable(self, tmp_path):
+        ds = bh([0.001, 0.5, 0.9], alpha=0.1)
+        ds.write_csv(tmp_path / "list.csv", ids=["a", "b", "c"])
+        ds.write_csv(tmp_path / "gen.csv", ids=(c for c in "abc"))
+        assert ((tmp_path / "gen.csv").read_bytes()
+                == (tmp_path / "list.csv").read_bytes())
 
     def test_csv_bytes_for_plain_ids(self, tmp_path):
         scores = np.random.default_rng(1).uniform(size=9)

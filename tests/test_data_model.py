@@ -3,6 +3,8 @@ import csv
 import io
 import math
 import os
+import subprocess
+import tempfile
 import threading
 import tracemalloc
 import warnings
@@ -616,6 +618,169 @@ class TestRoundTrip:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size / 10
+
+
+def _table(n, q=2, with_h=True, ids=(), seed=9):
+    rng = np.random.default_rng(seed)
+    return HypothesisTable(z=rng.standard_normal(n),
+                           X=rng.standard_normal((n, 2)),
+                           Xa=rng.standard_normal((n, q)),
+                           h_truth=rng.integers(0, 2, n) if with_h else None,
+                           ids=ids)
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestWriteParts:
+    """``write_table`` in forked parts, forced onto small tables by
+    patching the CPU count and the part minimum."""
+
+    @pytest.fixture
+    def parts(self, monkeypatch):
+        """``parts(k, min_rows)`` lets a write use up to k parts of at
+        least ``min_rows`` rows; it returns the list of forked pids."""
+        forks = []
+        fork = os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        def force(k, min_rows=1):
+            monkeypatch.setattr(data_model, "_usable_cpus", lambda: k)
+            monkeypatch.setattr(data_model, "_MIN_PART_ROWS", min_rows)
+            return forks
+
+        monkeypatch.setattr(os, "fork", recorded)
+        return force
+
+    @staticmethod
+    def _one_part(monkeypatch, table, path):
+        with monkeypatch.context() as m:
+            m.setattr(data_model, "_usable_cpus", lambda: 1)
+            write_table(table, path)
+        return path.read_bytes()
+
+    _TABLES = {
+        "blocks": lambda: _table(2 * _WRITE_BLOCK + 5),
+        "ids_needing_quotes": lambda: _table(
+            7, ids=("a,b", 'say "hi"', "cr\rx", "lf\nx", "", '"', "plain")),
+        "without_h": lambda: _table(11, with_h=False),
+        "q_zero": lambda: _table(10, q=0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_TABLES))
+    @pytest.mark.parametrize("k, min_rows, forks", [
+        (1, 1, 0), (2, 1, 1), (3, 1, 2), (3, "half", 1), (3, 1000, 0)])
+    def test_bytes_are_the_same_in_any_number_of_parts(
+            self, parts, monkeypatch, tmp_path, name, k, min_rows, forks):
+        table = self._TABLES[name]()
+        want = self._one_part(monkeypatch, table, tmp_path / "one.csv")
+        forked = parts(k, table.n // 2 if min_rows == "half" else min_rows)
+        path = tmp_path / "parts.csv"
+        write_table(table, path)
+        assert path.read_bytes() == want
+        assert len(forked) == forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc")
+    @pytest.mark.parametrize("failing_row, raised, rows", [
+        (20, OSError, "rows 20-29"),  # the last child's part
+        (12, OSError, "rows 10-19"),  # the first child's part
+        (3, RuntimeError, "cannot format"),  # this process's part
+    ])
+    def test_a_failing_part_raises_and_leaves_nothing_behind(
+            self, parts, monkeypatch, capfd, tmp_path, failing_row, raised,
+            rows):
+        forked = parts(3)
+        field = data_model._csv_field
+
+        def failing(text):
+            if text == f"r{failing_row}":
+                raise RuntimeError("cannot format")
+            return field(text)
+
+        monkeypatch.setattr(data_model, "_csv_field", failing)
+        table = _table(30, ids=tuple(f"r{i}" for i in range(30)))
+        fds = _open_fds()
+        with pytest.raises(raised, match=rows):
+            write_table(table, tmp_path / "t.csv")
+        assert len(forked) == 2
+        with pytest.raises(ChildProcessError):  # every child waited for
+            os.waitpid(-1, os.WNOHANG)
+        assert _open_fds() == fds  # every spool closed
+        if raised is OSError:  # the child's traceback reached stderr
+            assert "RuntimeError: cannot format" in capfd.readouterr().err
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc")
+    def test_a_second_thread_keeps_the_write_in_process(
+            self, monkeypatch, tmp_path):
+        table = _table(40)
+        want = self._one_part(monkeypatch, table, tmp_path / "one.csv")
+        monkeypatch.setattr(data_model, "_MIN_PART_ROWS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+
+        def no_fork():
+            raise AssertionError("forked beside a second thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert data_model._usable_cpus() == 3
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert data_model._usable_cpus() == 1
+            write_table(table, tmp_path / "t.csv")
+        finally:
+            stop.set()
+            thread.join()
+        assert (tmp_path / "t.csv").read_bytes() == want
+
+    def test_no_spool_keeps_the_write_in_process(self, parts, monkeypatch,
+                                                 tmp_path):
+        table = _table(30)
+        want = self._one_part(monkeypatch, table, tmp_path / "one.csv")
+        forked = parts(3)
+        spool = tempfile.TemporaryFile
+        made = []
+
+        def second_fails():
+            if made:
+                raise OSError("no room for a spool")
+            made.append(spool())
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", second_fails)
+        write_table(table, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == want
+        assert forked == [] and made[0].closed
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+    def test_a_fifo_gets_the_same_bytes(self, parts, monkeypatch, tmp_path):
+        table = _table(3 * _WRITE_BLOCK + 1)
+        want = self._one_part(monkeypatch, table, tmp_path / "one.csv")
+        forked = parts(3)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        with open(tmp_path / "got.csv", "wb") as sink:
+            reader = subprocess.Popen(["cat", str(fifo)], stdout=sink)
+        try:
+            write_table(table, fifo)
+            reader.wait(timeout=60)
+        finally:
+            reader.kill()  # nothing once it has exited
+            reader.wait()
+        assert len(forked) == 2
+        assert (tmp_path / "got.csv").read_bytes() == want
 
 
 class TestValidation:

@@ -33,7 +33,7 @@ from fdrkit import (
     train,
     write_table,
 )
-from fdrkit import cli, prior_net, two_groups
+from fdrkit import cli, data_model, prior_net, two_groups
 from fdrkit.densities import DENSITY_FLOOR, eval_density, null_pdf
 from fdrkit.prior_net import grad_check
 from fdrkit.two_groups import _fit_seeds, _loss_and_grads, _nll_terms
@@ -321,7 +321,8 @@ class TestPosteriorParts:
     def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
         monkeypatch.setattr(os, "listdir", lambda path: ["1"])
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert two_groups._usable_cpus() == 1
+        assert data_model._usable_cpus() == 1
+        assert two_groups._usable_cpus is data_model._usable_cpus
 
 
 class TestNllLoss:
