@@ -70,7 +70,8 @@ def fit_bivariate_ols(Xa, a_raw, b_raw) -> RegressionFit:
     Both responses share the design [1, Xa]; the normal equations carry a
     1e-8 ridge so collinear or constant designs stay solvable (the
     unidentifiable directions are pinned at zero). The residual pairs'
-    sample covariance (denominator n-1) becomes ``sigma``.
+    sample covariance (denominator n-1) becomes ``sigma``. A non-finite
+    value in any input raises ``DomainError``.
     """
     Xa = np.asarray(Xa, dtype=np.float64)
     if Xa.ndim == 1:
@@ -83,6 +84,9 @@ def fit_bivariate_ols(Xa, a_raw, b_raw) -> RegressionFit:
         raise ShapeError("Xa, a_raw and b_raw must agree on row count")
     if n < q + 2:
         raise InsufficientDataError(f"need at least q + 2 = {q + 2} rows, got {n}")
+    for name, arr in (("Xa", Xa), ("a_raw", a_raw), ("b_raw", b_raw)):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{name} must be finite")
     if np.any(a_raw <= 0) or np.any(b_raw <= 0):
         raise DomainError("pseudo-parameters must be strictly positive")
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import errno
 import hashlib
+import io
 import json
-import multiprocessing
 import os
+import pickle
 import stat
 import time
 from collections import Counter
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import bh, storey_bh, z_to_pvalue
-from .data_model import _usable_cpus, load_table, write_table
+from .data_model import _part_edges, _run_parts, load_table, write_table
 from .errors import FdrkitError
 from .prior_net import NetworkConfig
 from .synthetic import SCENARIOS, generate, scenario_config
@@ -350,33 +351,10 @@ def _benchmark_cell(cell, scenario, n_override, alpha, hidden, config):
     }
 
 
-def _worker_count(training_cells: int) -> int:
-    """Processes to run ``benchmark``'s cells on: one per CPU this process
-    can compute on (``_usable_cpus``), at most one per training cell.
-    That is 1 (this process) unless this process has a single thread,
-    which is when ``fork`` is safe, and when numpy's BLAS runs one
-    thread, so each worker does too; a pool beside a multi-threaded BLAS
-    oversubscribes the CPUs and runs slower than one process."""
-    return max(1, min(training_cells, _usable_cpus()))
-
-
-def _map_cells(run, cells, workers: int) -> list:
-    """``run`` applied to each of ``cells``, in order: in this process
-    when ``workers`` is 1, else on a forked pool of ``workers`` processes
-    that is closed and joined on success, or terminated and joined
-    before a cell's error propagates."""
-    if workers == 1:
-        return list(map(run, cells))
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        results = list(pool.imap(run, cells))
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return results
+def _run_cells(out, lo, hi, cells, **settings):
+    """Run ``cells[lo:hi]`` and pickle each result onto ``out``."""
+    for cell in cells[lo:hi]:
+        pickle.dump(_benchmark_cell(cell, **settings), out)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -452,15 +430,26 @@ def benchmark(scenario, methods, seeds, alpha, n_override, out_dir,
         raise click.UsageError(str(e))
 
     os.makedirs(out_dir, exist_ok=True)
-    cells = [(m, s) for m in method_list for s in seed_list]
-    workers = _worker_count(sum(m not in _BASELINES for m, _ in cells))
+    # the fits run in parts, one per usable CPU and at most one per fit,
+    # so no part trains more than one more model than another; seed-major,
+    # so a part's fits mix the methods. The baselines take milliseconds
+    # and run first, in this process.
+    cells = [(m, s) for s in seed_list for m in method_list]
+    fits = [c for c in cells if c[0] not in _BASELINES]
+    processes = len(_part_edges(len(fits), 1)) - 1
     _log(f"running {len(cells)} cells " + (
-        f"on {workers} worker processes" if workers > 1
+        f"on {processes} worker processes" if processes > 1
         else "in this process"))
-    run = partial(_benchmark_cell, scenario=scenario, n_override=n_override,
-                  alpha=alpha, hidden=hidden, config=config)
-    results = {(r["method"], r["seed"]): r
-               for r in _map_cells(run, cells, workers)}
+    settings = dict(scenario=scenario, n_override=n_override, alpha=alpha,
+                    hidden=hidden, config=config)
+    done = [_benchmark_cell(c, **settings) for c in cells
+            if c[0] in _BASELINES]
+    pickled = io.BytesIO()
+    _run_parts(partial(_run_cells, cells=fits, **settings), len(fits), 1,
+               pickled)
+    pickled.seek(0)
+    done += [pickle.load(pickled) for _ in fits]
+    results = {(r["method"], r["seed"]): r for r in done}
 
     per_seed_path = os.path.join(out_dir, "per_seed.csv")
     with open(per_seed_path, "w", encoding="utf-8") as fh:

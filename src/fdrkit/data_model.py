@@ -28,6 +28,7 @@ import io
 import math
 import numbers
 import os
+import pickle
 import re
 import shutil
 import signal
@@ -53,10 +54,16 @@ _CONST_TOL = 1e-12
 #: at 64 rows, 10 MB at 4096, which also raised the process's peak RSS by
 #: 3.6 MB.
 _WRITE_BLOCK = 64
-#: rows each part of a ``write_table`` holds at least, so a table of fewer
-#: than twice this many rows is written in this process. A forked part
-#: costs about 5-10 ms: two parts first beat one at 2,000-4,000 rows.
+#: rows each part of a ``write_table`` or a ``posterior_alt`` (8 of its
+#: 1024-row slices) holds at least, so fewer than twice this many rows run
+#: in this process. A forked part of ``write_table`` costs about 5-10 ms:
+#: two parts first beat one at 2,000-4,000 rows.
 _MIN_PART_ROWS = 8192
+#: exit status of a ``_run_parts`` child whose part raised an error; its
+#: spool then holds the pickled error
+_RAISED = 3
+#: true in a ``_run_parts`` child, whose own parts then run in-process
+_IN_PART = False
 #: characters that ``np.loadtxt`` strips from a number as whitespace
 #: (``str.isspace()`` is true for them) but ``float()`` rejects
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
@@ -71,17 +78,118 @@ def _usable_cpus() -> int:
 
     A process with one thread has started no BLAS threads, so numpy's
     BLAS runs on the calling thread, and ``fork`` copies no thread that
-    could hold a lock. Beside BLAS threads, more threads oversubscribe
-    the CPUs: on 2 cores with BLAS unpinned, two parts of
+    could hold a lock. Beside BLAS threads, more parts oversubscribe
+    the CPUs: on 2 cores with BLAS unpinned, two threaded parts of
     ``posterior_alt`` at 100k rows took a median 0.63 s against 0.50 s
-    for one. Without /proc or an affinity call, 1.
+    for one. Inside a part of ``_run_parts``, 1, so parts do not nest.
+    Without /proc or an affinity call, 1.
     """
+    if _IN_PART:
+        return 1
     try:
         threads = len(os.listdir("/proc/self/task"))
         cpus = len(os.sched_getaffinity(0))
     except (OSError, AttributeError):  # no /proc, or no affinity call
         return 1
     return cpus if threads == 1 else 1
+
+
+def _part_edges(n: int, min_part: int) -> list[int]:
+    """Edges of ``range(n)`` split into contiguous parts, one per usable
+    CPU (``_usable_cpus``), each at least ``min_part`` long; one part when
+    ``n`` is below ``2 * min_part``."""
+    parts = max(1, min(_usable_cpus(), n // min_part))
+    return [i * n // parts for i in range(parts + 1)]
+
+
+def _run_parts(run, n: int, min_part: int, out) -> None:
+    """Run ``run(file, lo, hi)`` over ``range(n)`` in the parts of
+    ``_part_edges(n, min_part)``, leaving what the parts write on the
+    binary file ``out`` in part order.
+
+    One part runs in this process, onto ``out``. Two or more each run in
+    a forked child, onto an anonymous spool (``tempfile.TemporaryFile``)
+    it inherits; this process runs none of them, waits for every child,
+    and then copies the spools onto ``out`` in order. If the spools
+    cannot be created, the whole range runs in this process.
+
+    The error of the first part whose ``run`` raised is raised here, with
+    its type and message (it crosses a pickle) and, as its cause, a
+    ``_PartTraceback`` holding the child's traceback; a child that dies
+    otherwise raises ``OSError`` naming its part. Every child has been
+    waited for, and every spool closed, when this returns or raises, on
+    an interrupt too.
+    """
+    edges = _part_edges(n, min_part)
+    with contextlib.ExitStack() as stack:
+        try:
+            spools = [stack.enter_context(tempfile.TemporaryFile())
+                      for _ in edges[1:]] if len(edges) > 2 else []
+        except OSError:  # no spool: the whole range in this process
+            spools = []
+        if not spools:
+            return run(out, 0, n)
+        pids, statuses = [], {}
+        try:
+            for lo, hi, spool in zip(edges, edges[1:], spools):
+                pid = os.fork()
+                if pid == 0:  # the child: it never returns
+                    _run_child(run, spool, lo, hi)
+                pids.append(pid)
+            for pid in pids:
+                statuses[pid] = os.waitpid(pid, 0)[1]
+        finally:  # on an error or an interrupt, before it propagates
+            for pid in pids:
+                if pid not in statuses:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+        for lo, hi, spool, pid in zip(edges, edges[1:], spools, pids):
+            code = os.waitstatus_to_exitcode(statuses[pid])
+            if code == _RAISED:
+                spool.seek(0)
+                error, trace = pickle.load(spool)
+                raise error from _PartTraceback(
+                    f"in part {lo}-{hi - 1} of {n}:\n{trace}")
+            if code:
+                raise OSError(f"part {lo}-{hi - 1} of {n} failed in a forked "
+                              f"process (exit code {code})")
+        for spool in spools:
+            spool.seek(0)
+            shutil.copyfileobj(spool, out)
+
+
+class _PartTraceback(Exception):
+    """The traceback of an error raised in a ``_run_parts`` child; the
+    caller raises that error again with this as its cause."""
+
+
+def _run_child(run, spool, lo: int, hi: int):
+    """In a forked child: run part ``lo:hi`` onto ``spool`` and leave the
+    process by ``os._exit``. The status is 0 once every byte reached the
+    spool, and ``_RAISED`` when ``run`` raised an error that pickles,
+    which then replaces the spool's contents, with its traceback; any
+    other failure prints its traceback and exits 1. Nothing else of the
+    parent's is flushed or run."""
+    global _IN_PART
+    _IN_PART = True
+    status = 1
+    try:
+        try:
+            run(spool, lo, hi)
+            spool.flush()
+            status = 0
+        except Exception as err:
+            error = pickle.dumps((err, traceback.format_exc()))
+            pickle.loads(error)  # an error the caller cannot rebuild fails
+            spool.seek(0)
+            spool.truncate()
+            spool.write(error)
+            spool.flush()
+            status = _RAISED
+    except BaseException:  # to the inherited stderr, past its buffer
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
 
 
 def _frozen(a, dtype=np.float64, ndmin=1) -> np.ndarray:
@@ -528,10 +636,9 @@ def write_table(table: HypothesisTable, path):
     ``csv.writer``'s default dialect: ids quoted only where they must be
     (see ``_csv_field``) and lines ending in ``\\r\\n``.
 
-    The rows are formatted ``_WRITE_BLOCK`` at a time, in one contiguous
-    part per usable CPU (``_usable_cpus``) of at least ``_MIN_PART_ROWS``
-    rows each; see ``_write_parts``. The bytes are the same however the
-    rows are split.
+    The rows are formatted ``_WRITE_BLOCK`` at a time, in parts of at
+    least ``_MIN_PART_ROWS`` rows (see ``_run_parts``). The bytes are the
+    same however the rows are split.
     """
     table.require(*COVARIATE_BLOCKS)
     header = ["id", "z", *(f"x{j}" for j in range(table.k)),
@@ -549,85 +656,14 @@ def write_table(table: HypothesisTable, path):
             rows = range(0, len(cells), width)
             tails = (["\r\n"] * len(rows) if table.h_truth is None else
                      [f",{h}\r\n" for h in table.h_truth[block].tolist()])
-            out.writelines(
+            out.write("".join(
                 f"{_csv_field(rid)},{','.join(cells[i:i + width])}{tail}"
-                for rid, i, tail in zip(table.ids[block], rows, tails))
+                for rid, i, tail in zip(table.ids[block], rows, tails)
+            ).encode("utf-8"))
 
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        _write_parts(fh, write_rows, table.n)
-
-
-def _write_parts(fh, write_rows, n: int) -> None:
-    """Write rows ``0:n`` to the text file ``fh`` by ``write_rows(out, lo,
-    hi)``, in contiguous parts: one per usable CPU, each of at least
-    ``_MIN_PART_ROWS`` rows.
-
-    ``fh`` is flushed, and one child is forked per part after the first.
-    Each child writes its part into an anonymous ``tempfile.TemporaryFile``
-    spool it inherits, and leaves by ``os._exit``; this process writes
-    the first part itself, waits for every child, and copies the spools
-    onto ``fh`` in order. Forking is left to ``_usable_cpus``, which
-    allows more than one part only while this process has a single
-    thread, so no copied thread can hold a lock. A spool that cannot be
-    created keeps the write in this process. Every child has been waited
-    for, and every spool closed, when this returns or raises; a child
-    that fails raises ``OSError`` naming its rows.
-    """
-    parts = max(1, min(_usable_cpus(), n // _MIN_PART_ROWS))
-    edges = [i * n // parts for i in range(parts + 1)]
-    spools = []
-    try:
-        try:
-            for _ in range(parts - 1):
-                spools.append(tempfile.TemporaryFile())
-        except OSError:  # no spool: the whole table in this process
-            for spool in spools:
-                spool.close()
-            spools, edges = [], [0, n]
-        fh.flush()
-        pids = []
-        try:
-            for lo, hi, spool in zip(edges[1:], edges[2:], spools):
-                pid = os.fork()
-                if pid == 0:  # the child: it never returns
-                    _write_child(write_rows, spool, lo, hi)
-                pids.append(pid)
-            write_rows(fh, edges[0], edges[1])
-        except BaseException:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-        for lo, hi, status in zip(edges[1:], edges[2:], statuses):
-            if status:
-                raise OSError(f"writing table rows {lo}-{hi - 1} failed in a "
-                              f"forked process (exit code "
-                              f"{os.waitstatus_to_exitcode(status)})")
-        fh.flush()
-        for spool in spools:
-            spool.seek(0)
-            shutil.copyfileobj(spool, fh.buffer)
-    finally:
-        for spool in spools:
-            spool.close()
-
-
-def _write_child(write_rows, spool, lo: int, hi: int):
-    """In a forked child: write rows ``lo:hi`` into ``spool`` and leave
-    the process by ``os._exit``, with status 0 only if every byte reached
-    the spool. Nothing else of the parent's is flushed or run."""
-    status = 1
-    try:
-        out = io.TextIOWrapper(spool, encoding="utf-8", newline="")
-        write_rows(out, lo, hi)
-        out.flush()
-        status = 0
-    except BaseException:  # to the inherited stderr, past its buffer
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode("utf-8"))
+        _run_parts(write_rows, table.n, _MIN_PART_ROWS, fh)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,24 +24,21 @@ The quadrature walks rows in slices of ``_CHUNK`` rows. Each slice's
 log cell masses come from one matrix product, and the remaining ufuncs
 run in place on its blocks of ``_BLOCK`` rows, in the same order into
 buffers reused from block to block, so their operands stay in cache. The
-slices are split into contiguous parts, one per usable CPU; the calling
-thread runs the first part and a thread each the others, and numpy
-releases the interpreter lock inside every ufunc, so the parts run at
-once. A row's value does not depend on its block or part: it comes from
-the same operations on the same operands, and every row sum reduces one
-contiguous row on its own. The slices stay at 1024 rows because the
-product's bits are not the same for every row count: at 500 cells,
-OpenBLAS 0.3.31 rounds a 128-row product differently from a 1024-row
-one in the last columns.
+slices are split into contiguous parts, one per usable CPU, each run in
+a forked process (``data_model._run_parts``). A row's value does not
+depend on its block or part: it comes from the same operations on the
+same operands, and every row sum reduces one contiguous row on its own.
+The slices stay at 1024 rows because the product's bits are not the
+same for every row count: at 500 cells, OpenBLAS 0.3.31 rounds a
+128-row product differently from a 1024-row one in the last columns.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
-import os
-import threading
-import time
+import numbers
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -53,9 +50,10 @@ from .data_model import (
     COVARIATE_BLOCKS,
     CovariateScaling,
     HypothesisTable,
+    _MIN_PART_ROWS,
     _check_types,
     _frozen,
-    _usable_cpus,
+    _run_parts,
     standardize_covariates,
 )
 from .densities import (
@@ -84,15 +82,12 @@ _CHUNK = 1024
 #: the 500-cell grid (1.5 MB) fit a 2 MB L2 cache, and of 32 to 1024
 #: rows, 128 and 256 ran fastest
 _BLOCK = 128
-#: fewest slices of ``_CHUNK`` rows a part of the posterior quadrature
-#: runs; a smaller table stays on the calling thread
-_MIN_PART_CHUNKS = 8
 
 #: the table blocks each variant's network reads, side by side
 VARIANTS = {"neurt_a": ("X",), "neurt_b": COVARIATE_BLOCKS}
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # so 3.0 is refused after 3
 def _lambda_grid(grid_size: int):
     """Midpoint grid of the transformed mixing weight.
 
@@ -100,6 +95,9 @@ def _lambda_grid(grid_size: int):
     part of the log cell mass and logs is the 2 x grid_size matrix
     [log lam; log(1-lam)] used by the batch mass computation.
     """
+    if isinstance(grid_size, bool) or not isinstance(grid_size,
+                                                     numbers.Integral):
+        raise DomainError(f"grid_size must be an integer, not {grid_size!r}")
     if grid_size < 2:
         raise DomainError("grid_size must be at least 2")
     u = (np.arange(grid_size) + 0.5) / grid_size
@@ -115,10 +113,15 @@ def _lambda_grid(grid_size: int):
 
 
 def _check_shapes(a, b, f0z, f1z):
-    a, b, f0z, f1z = np.broadcast_arrays(
-        np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64),
-        np.asarray(f0z, dtype=np.float64), np.asarray(f1z, dtype=np.float64),
-    )
+    try:
+        a, b, f0z, f1z = np.broadcast_arrays(
+            np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64),
+            np.asarray(f0z, dtype=np.float64),
+            np.asarray(f1z, dtype=np.float64),
+        )
+    except ValueError as err:
+        raise ShapeError(f"a, b, f0(z) and f1(z) do not broadcast "
+                         f"together: {err}") from None
     for name, arr in (("a", a), ("b", b), ("f0(z)", f0z), ("f1(z)", f1z)):
         if not np.all(np.isfinite(arr)):
             raise DomainError(f"{name} must be finite")
@@ -146,60 +149,37 @@ def posterior_alt(a, b, f0z, f1z, grid_size: int = 1000):
     Integrates lam*f1z / (lam*f1z + (1-lam)*f0z) against the Beta(a, b)
     prior; the result is clamped to [0, 1].
 
-    Rows run in slices of ``_CHUNK``, split into one part per usable CPU
-    (``_usable_cpus``) with at least ``_MIN_PART_CHUNKS`` slices each; the
-    parts beyond the first run on threads, which are all gone when the
-    call returns or raises. Restricting the process's CPU affinity (for
-    example with ``taskset``) limits the parts, and a process with BLAS
-    threads runs one part. The answer is the same, bit for bit, however
-    the rows are split (see the module docstring).
+    Rows run in slices of ``_CHUNK``, in parts of whole slices and at
+    least ``_MIN_PART_ROWS`` rows (see ``data_model._run_parts``).
+    Restricting the process's CPU affinity (for example with ``taskset``)
+    limits the parts. The answer is the same, bit for bit, however the
+    rows are split (see the module docstring).
     """
     af, bf, f0f, f1f, shape = _check_shapes(a, b, f0z, f1z)
     if np.any((f0f == 0.0) & (f1f == 0.0)):
         raise DegenerateInputError("f0(z) and f1(z) are both zero")
     lam, base, logs = _lambda_grid(grid_size)
-    n = af.shape[0]
-    chunks = -(-n // _CHUNK)
-    parts = max(1, min(_usable_cpus(), chunks // _MIN_PART_CHUNKS))
-    edges = [min(n, i * chunks // parts * _CHUNK) for i in range(parts + 1)]
     grid = (lam, 1.0 - lam, base, logs)
-    out = np.empty(n)
-    # one allocation for every part's grid buffers: freed at once, it
-    # leaves no heap behind that would raise a later peak
-    work = np.empty((parts, _CHUNK + 2 * _BLOCK, lam.size))
-    jobs = [(edges[i], edges[i + 1], grid, af, bf, f0f, f1f, out, work[i],
-             np.empty((_CHUNK, 2)), np.empty((_BLOCK, 1)))
-            for i in range(parts)]
-    errors = []
+    n = af.shape[0]
 
-    def run(job):
-        try:
-            _posterior_rows(*job)
-        except BaseException as err:  # re-raised by the calling thread
-            errors.append(err)
+    def run(out, lo, hi):  # slices lo:hi
+        _posterior_rows(out, lo * _CHUNK, min(n, hi * _CHUNK), grid,
+                        af, bf, f0f, f1f)
 
-    threads = []
-    try:
-        for job in jobs[1:]:
-            t = threading.Thread(target=run, args=(job,))
-            t.start()
-            threads.append(t)
-        _posterior_rows(*jobs[0])
-    finally:
-        _join(threads)
-    if errors:
-        raise errors[0]
-    np.clip(out, 0.0, 1.0, out=out)
+    scores = io.BytesIO()
+    _run_parts(run, -(-n // _CHUNK), _MIN_PART_ROWS // _CHUNK, scores)
+    out = np.clip(np.frombuffer(scores.getbuffer()), 0.0, 1.0)
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def _posterior_rows(lo, hi, grid, a, b, f0z, f1z, out, work, ab, col_buf):
-    """Write the posteriors of rows ``lo:hi`` into ``out``, through the
-    buffers ``work`` (``_CHUNK`` + 2 ``_BLOCK`` rows x grid), ``ab``
-    (``_CHUNK`` x 2) and ``col_buf`` (``_BLOCK`` x 1). Allocates no
-    buffer."""
+def _posterior_rows(out, lo, hi, grid, a, b, f0z, f1z):
+    """Write the posteriors of rows ``lo:hi`` onto the binary file
+    ``out``, as float64, a slice of ``_CHUNK`` rows at a time."""
     lam, one_m_lam, base, logs = grid
-    logw, num_buf, den_buf = np.split(work, [_CHUNK, _CHUNK + _BLOCK])
+    logw, num_buf, den_buf = np.split(
+        np.empty((_CHUNK + 2 * _BLOCK, lam.size)), [_CHUNK, _CHUNK + _BLOCK])
+    ab, col_buf, post = (np.empty((_CHUNK, 2)), np.empty((_BLOCK, 1)),
+                         np.empty(_CHUNK))
     for start in range(lo, hi, _CHUNK):
         stop = min(start + _CHUNK, hi)
         pairs = ab[:stop - start]
@@ -222,21 +202,8 @@ def _posterior_rows(lo, hi, grid, a, b, f0z, f1z, out, work, ab, col_buf):
             np.add(num, den, out=den)
             np.divide(num, den, out=num)
             np.multiply(w, num, out=num)
-            np.sum(num, axis=1, out=out[rows])
-
-
-def _join(threads):
-    """Join ``threads``, then wait (at most a second) until the system
-    lists none of them: ``join`` returns once a thread's Python state is
-    gone, a moment before its system thread exits, and ``_usable_cpus``
-    counts the threads that /proc/self/task lists."""
-    for t in threads:
-        t.join()
-    deadline = time.monotonic() + 1.0
-    for t in threads:
-        while (os.path.exists(f"/proc/self/task/{t.native_id}")
-               and time.monotonic() < deadline):
-            time.sleep(1e-5)
+            np.sum(num, axis=1, out=post[first - start:rows.stop - start])
+        out.write(post[:stop - start])
 
 
 def _nll_terms(a, b, f0z, f1z):
@@ -268,6 +235,9 @@ def nll_loss(params: NetworkParams, inputs, f0z, f1z, *,
         raise DomainError("batch must be nonempty")
     f0z = np.asarray(f0z, dtype=np.float64).ravel()
     f1z = np.asarray(f1z, dtype=np.float64).ravel()
+    if f0z.shape != f1z.shape or f0z.shape[0] != X.shape[0]:
+        raise ShapeError(f"{X.shape[0]} input rows, {f0z.shape[0]} f0(z) "
+                         f"and {f1z.shape[0]} f1(z) values")
     a, b = forward(params, X)
     a = np.atleast_1d(a)
     b = np.atleast_1d(b)

@@ -84,6 +84,15 @@ class TestFit:
         with pytest.raises(DomainError):
             fit_bivariate_ols(np.zeros((5, 1)), [1, 1, 0, 1, 1], np.ones(5))
 
+    @pytest.mark.parametrize("slot", ["Xa", "a_raw", "b_raw"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_input_rejected(self, slot, bad):
+        Xa, a_raw, b_raw = noiseless_fit()
+        args = {"Xa": Xa.copy(), "a_raw": a_raw.copy(), "b_raw": b_raw.copy()}
+        args[slot].flat[3] = bad
+        with pytest.raises(DomainError, match=f"{slot} must be finite"):
+            fit_bivariate_ols(**args)
+
     def test_coefficient_lengths_must_agree(self):
         with pytest.raises(ShapeError, match="delta_a has 2 coefficients"):
             RegressionFit(mu_a=0, mu_b=0, delta_a=np.zeros(2),

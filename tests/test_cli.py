@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -640,7 +641,7 @@ class TestBenchmarkWorkers:
         assert code == 0, lines
         workers = min(4, _usable_cpus())
         assert lines[0] == f"running 6 cells on {workers} worker processes"
-        monkeypatch.setattr(cli, "_worker_count", lambda cells: 1)
+        monkeypatch.setattr(data_model, "_usable_cpus", lambda: 1)
         res = runner.invoke(main, ["benchmark", *args, "--out-dir",
                                    str(tmp_path / "serial")])
         assert res.exit_code == 0, res.output
@@ -674,6 +675,20 @@ class TestBenchmarkWorkers:
         assert list(out_dir.iterdir()) == []
 
 
+def _fake_cell(cell, **settings):
+    method, seed = cell
+    return {"method": method, "seed": seed, "n": 1, "discoveries": 0,
+            "fdp": 0.0, "power": 0.0, "seconds": 0.0, "z": np.zeros(1),
+            "rejected_mask": np.zeros(1, bool), "h": np.zeros(1, int)}
+
+
+#: ``benchmark`` flags giving 4, 1 and 0 training cells, of 4, 2 and 4 cells
+_CELLS = {4: ["--methods", "neurt_a,neurt_b", "--seeds", "0,1"],
+          1: ["--methods", "bh,neurt_a", "--seeds", "0"],
+          0: ["--methods", "bh,sbh", "--seeds", "0,1"]}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.parametrize("tasks, cpus, cells, expected", [
     (["1", "2", "3"], 2, 4, 1),  # a multi-threaded BLAS: no fork
     (["1"], 2, 4, 2),
@@ -682,16 +697,74 @@ class TestBenchmarkWorkers:
     (["1"], 2, 0, 1),
     (None, 2, 4, 1),  # no /proc
 ])
-def test_worker_count(monkeypatch, tasks, cpus, cells, expected):
-    def listdir(path):
-        assert path == "/proc/self/task"
+def test_worker_count(runner, tmp_path, monkeypatch, tasks, cpus, cells,
+                      expected):
+    """``benchmark`` runs on one process per usable CPU, but at most one
+    per training cell, and logs the count first."""
+    listdir = os.listdir
+
+    def tasks_listed(path):
+        if path != "/proc/self/task":
+            return listdir(path)
         if tasks is None:
             raise FileNotFoundError(path)
         return tasks
-    monkeypatch.setattr(cli.os, "listdir", listdir)
-    monkeypatch.setattr(cli.os, "sched_getaffinity",
+
+    monkeypatch.setattr(os, "listdir", tasks_listed)
+    monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
-    assert cli._worker_count(cells) == expected
+    monkeypatch.setattr(cli, "_benchmark_cell", _fake_cell)
+    res = runner.invoke(main, ["benchmark", *_CELLS[cells], "--out-dir",
+                               str(tmp_path / "b")])
+    assert res.exit_code == 0, res.output
+    n = 2 if cells == 1 else 4
+    assert res.output.splitlines()[0] == f"running {n} cells " + (
+        f"on {expected} worker processes" if expected > 1
+        else "in this process")
+    per_seed = (tmp_path / "b" / "per_seed.csv").read_text().splitlines()
+    assert len(per_seed) == 1 + n  # every cell's result came back
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("methods, seeds, cpus", [
+    ("bh,sbh,neurt_a,neurt_b", "0,1", 4),  # the battery's cells
+    ("bh,sbh,neurt_a,neurt_b", "0:3", 2),
+    ("bh,neurt_a,neurt_b", "0,1", 4),
+    ("bh,neurt_a,neurt_b", "0,1", 3),
+    ("neurt_a,neurt_b", "0:5", 4),
+])
+def test_fits_are_spread_evenly_and_baselines_stay_here(
+        runner, tmp_path, monkeypatch, methods, seeds, cpus):
+    """One part per usable CPU, at most one per fit, and no part trains
+    more than ``ceil(fits / parts)`` models; the baselines run in this
+    process."""
+    ran = tmp_path / "ran"
+
+    def cell(cell, **settings):
+        with open(ran, "a") as fh:
+            fh.write(f"{cell[0]} {os.getpid()}\n")
+        return _fake_cell(cell)
+
+    monkeypatch.setattr(data_model, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_benchmark_cell", cell)
+    res = runner.invoke(main, ["benchmark", "--methods", methods, "--seeds",
+                               seeds, "--out-dir", str(tmp_path / "b")])
+    assert res.exit_code == 0, res.output
+    fits = Counter()
+    for line in ran.read_text().splitlines():
+        method, pid = line.split()
+        if method in ("bh", "sbh"):
+            assert int(pid) == os.getpid()
+        else:
+            fits[int(pid)] += 1
+    parts = min(cpus, sum(fits.values()))
+    assert res.output.splitlines()[0].endswith(f"on {parts} worker processes")
+    assert len(fits) == parts and os.getpid() not in fits
+    assert max(fits.values()) == -(-sum(fits.values()) // parts)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestReport:

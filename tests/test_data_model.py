@@ -3,9 +3,11 @@ import csv
 import io
 import math
 import os
+import signal
 import subprocess
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -633,6 +635,11 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestWriteParts:
     """``write_table`` in forked parts, forced onto small tables by
@@ -675,49 +682,54 @@ class TestWriteParts:
     }
 
     @pytest.mark.parametrize("name", sorted(_TABLES))
-    @pytest.mark.parametrize("k, min_rows, forks", [
+    @pytest.mark.parametrize("k, min_rows, extra_parts", [
         (1, 1, 0), (2, 1, 1), (3, 1, 2), (3, "half", 1), (3, 1000, 0)])
     def test_bytes_are_the_same_in_any_number_of_parts(
-            self, parts, monkeypatch, tmp_path, name, k, min_rows, forks):
+            self, parts, monkeypatch, tmp_path, name, k, min_rows,
+            extra_parts):
+        """``extra_parts`` counts the parts beyond the first; two or more
+        parts run in a forked child each."""
         table = self._TABLES[name]()
         want = self._one_part(monkeypatch, table, tmp_path / "one.csv")
         forked = parts(k, table.n // 2 if min_rows == "half" else min_rows)
         path = tmp_path / "parts.csv"
         write_table(table, path)
         assert path.read_bytes() == want
-        assert len(forked) == forks
+        assert len(forked) == (extra_parts + 1 if extra_parts else 0)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="needs /proc")
-    @pytest.mark.parametrize("failing_row, raised, rows", [
-        (20, OSError, "rows 20-29"),  # the last child's part
-        (12, OSError, "rows 10-19"),  # the first child's part
-        (3, RuntimeError, "cannot format"),  # this process's part
-    ])
-    def test_a_failing_part_raises_and_leaves_nothing_behind(
-            self, parts, monkeypatch, capfd, tmp_path, failing_row, raised,
-            rows):
+    @pytest.mark.parametrize("failing_rows, raised", [
+        ((20,), "r20"),
+        ((12,), "r12"),
+        ((3,), "r3"),
+        ((25, 12), "r12"),  # the first failing part's, in part order
+    ], ids=["last_part", "middle_part", "first_part", "two_parts"])
+    def test_a_failing_part_raises_its_error(
+            self, parts, monkeypatch, tmp_path, failing_rows, raised):
+        """The part's error, not an ``OSError``, and nothing left behind."""
         forked = parts(3)
         field = data_model._csv_field
 
         def failing(text):
-            if text == f"r{failing_row}":
-                raise RuntimeError("cannot format")
+            if text in {f"r{i}" for i in failing_rows}:
+                raise RuntimeError(f"cannot format {text}")
             return field(text)
 
         monkeypatch.setattr(data_model, "_csv_field", failing)
         table = _table(30, ids=tuple(f"r{i}" for i in range(30)))
         fds = _open_fds()
-        with pytest.raises(raised, match=rows):
+        with pytest.raises(RuntimeError) as info:
             write_table(table, tmp_path / "t.csv")
-        assert len(forked) == 2
+        assert str(info.value) == f"cannot format {raised}"
+        # the child's traceback is the cause: it names the failing call
+        assert "in failing\n" in str(info.value.__cause__)
+        assert len(forked) == 3
         with pytest.raises(ChildProcessError):  # every child waited for
             os.waitpid(-1, os.WNOHANG)
         assert _open_fds() == fds  # every spool closed
-        if raised is OSError:  # the child's traceback reached stderr
-            assert "RuntimeError: cannot format" in capfd.readouterr().err
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs /proc")
@@ -779,8 +791,198 @@ class TestWriteParts:
         finally:
             reader.kill()  # nothing once it has exited
             reader.wait()
-        assert len(forked) == 2
+        assert len(forked) == 3
         assert (tmp_path / "got.csv").read_bytes() == want
+
+
+def _numbered(out, lo, hi):
+    """A ``_run_parts`` part: the numbers ``lo:hi`` as two bytes each."""
+    out.write(b"".join(i.to_bytes(2, "big") for i in range(lo, hi)))
+
+
+def _pids(out, lo, hi):
+    """A ``_run_parts`` part: ``lo:hi@pid;`` of the process running it."""
+    out.write(f"{lo}:{hi}@{os.getpid()};".encode())
+
+
+def _parts_run(out: bytes) -> list:
+    """The ``(lo, hi, pid)`` records ``_pids`` parts wrote."""
+    return [tuple(map(int, rec.replace("@", ":").split(":")))
+            for rec in out.decode().split(";")[:-1]]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestRunParts:
+    """``_run_parts``, with the part count forced by patching
+    ``_usable_cpus``."""
+
+    @staticmethod
+    def _cpus(monkeypatch, k):
+        monkeypatch.setattr(data_model, "_usable_cpus", lambda: k)
+
+    @pytest.mark.parametrize("k, n, min_part, edges", [
+        (1, 10, 1, [0, 10]),
+        (3, 10, 1, [0, 3, 6, 10]),
+        (3, 10, 4, [0, 5, 10]),  # each part at least min_part long
+        (3, 7, 4, [0, 7]),
+        (2, 1, 1, [0, 1]),
+        (4, 0, 1, [0, 0]),
+    ])
+    def test_part_edges(self, monkeypatch, k, n, min_part, edges):
+        self._cpus(monkeypatch, k)
+        assert data_model._part_edges(n, min_part) == edges
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_output_is_the_same_in_any_number_of_parts(self, monkeypatch, k):
+        self._cpus(monkeypatch, k)
+        out = io.BytesIO()
+        out.write(b"head")
+        data_model._run_parts(_numbered, 1000, 1, out)
+        want = io.BytesIO()
+        _numbered(want, 0, 1000)
+        assert out.getvalue() == b"head" + want.getvalue()
+        _no_child_left()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_two_or_more_parts_run_in_a_child_each(self, monkeypatch, k):
+        self._cpus(monkeypatch, k)
+        out = io.BytesIO()
+        data_model._run_parts(_pids, 9, 1, out)
+        parts = _parts_run(out.getvalue())
+        edges = [i * 9 // k for i in range(k + 1)]
+        assert [p[:2] for p in parts] == list(zip(edges, edges[1:]))
+        pids = {p[2] for p in parts}
+        if k == 1:
+            assert pids == {os.getpid()}
+        else:  # this process runs none of them
+            assert len(pids) == k and os.getpid() not in pids
+
+    @pytest.mark.parametrize("k, fails, raised, message", [
+        (1, {0: "raise"}, ValueError, "part 0-3 failed"),
+        (3, {2: "raise"}, ValueError, "part 2-3 failed"),
+        (3, {1: "raise", 2: "raise"}, ValueError, "part 1-2 failed"),
+        (3, {0: "die", 1: "raise"}, OSError,
+         "part 0-0 of 3 failed in a forked process (exit code 7)"),
+        (3, {1: "raise", 2: "die"}, ValueError, "part 1-2 failed"),
+        # an error that cannot cross a pickle is a child's failure
+        (3, {1: "unpicklable"}, OSError,
+         "part 1-1 of 3 failed in a forked process (exit code 1)"),
+    ], ids=["one_part", "last", "first_of_two", "dead_before_raised",
+            "raised_before_dead", "unpicklable"])
+    def test_the_first_failing_part_in_order_raises(
+            self, monkeypatch, capfd, k, fails, raised, message):
+        self._cpus(monkeypatch, k)
+
+        def run(out, lo, hi):
+            how = fails.get(lo)
+            if how == "raise":
+                raise ValueError(f"part {lo}-{hi} failed")
+            if how == "die":
+                os._exit(7)
+            if how == "unpicklable":
+                raise ValueError(threading.Lock())
+            out.write(b"done")
+
+        with pytest.raises(raised) as info:
+            data_model._run_parts(run, 3, 1, io.BytesIO())
+        assert type(info.value) is raised and str(info.value) == message
+        _no_child_left()
+        if raised is ValueError and k > 1:  # the child's traceback, chained
+            lo = message.split()[1].split("-")[0]
+            cause = info.value.__cause__
+            assert type(cause) is data_model._PartTraceback
+            assert str(cause).startswith(f"in part {lo}-{lo} of 3:\n"
+                                         f"Traceback (most recent call last)")
+            assert 'raise ValueError(f"part {lo}-{hi} failed")' in str(cause)
+            assert str(cause).endswith(f"ValueError: {message}\n")
+        if "unpicklable" in fails.values():  # its traceback reached stderr
+            assert "TypeError" in capfd.readouterr().err
+
+    def test_no_spool_runs_the_whole_range_in_this_process(
+            self, monkeypatch):
+        self._cpus(monkeypatch, 3)
+        spool = tempfile.TemporaryFile
+        made = []
+
+        def second_fails():
+            if made:
+                raise OSError("no room for a spool")
+            made.append(spool())
+            return made[-1]
+
+        def no_fork():
+            raise AssertionError("forked without spools")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", second_fails)
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = io.BytesIO()
+        data_model._run_parts(_pids, 9, 1, out)
+        assert _parts_run(out.getvalue()) == [(0, 9, os.getpid())]
+        assert made[0].closed
+
+    @staticmethod
+    def _sleeper(out, lo, hi):
+        time.sleep(60)
+
+    def test_an_error_in_this_process_kills_every_child(self, monkeypatch):
+        self._cpus(monkeypatch, 3)
+        fork = os.fork
+        forks = []
+
+        def second_fails():
+            if forks:
+                raise OSError("no more processes")
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="no more processes"):
+            data_model._run_parts(self._sleeper, 3, 1, io.BytesIO())
+        assert time.monotonic() - start < 30  # the sleeping child was killed
+        _no_child_left()
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"),
+                        reason="needs setitimer")
+    def test_an_interrupt_while_waiting_kills_every_child(self, monkeypatch):
+        self._cpus(monkeypatch, 2)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            start = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                data_model._run_parts(self._sleeper, 2, 1, io.BytesIO())
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc")
+    def test_parts_do_not_nest(self, monkeypatch):
+        """A part's own ``_run_parts`` runs in its process, though the
+        process has one thread and two CPUs."""
+        listdir = os.listdir
+        monkeypatch.setattr(os, "listdir", lambda path: (
+            ["1"] if path == "/proc/self/task" else listdir(path)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        assert data_model._usable_cpus() == 2
+
+        def outer(out, lo, hi):
+            data_model._run_parts(_pids, 4, 1, out)
+
+        out = io.BytesIO()
+        data_model._run_parts(outer, 2, 1, out)
+        parts = _parts_run(out.getvalue())
+        assert [p[:2] for p in parts] == [(0, 4), (0, 4)]
+        assert len({p[2] for p in parts} - {os.getpid()}) == 2
+        _no_child_left()
 
 
 class TestValidation:

@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import os
-import sys
 import threading
 
 import numpy as np
@@ -33,7 +32,7 @@ from fdrkit import (
     train,
     write_table,
 )
-from fdrkit import cli, data_model, prior_net, two_groups
+from fdrkit import data_model, prior_net, two_groups
 from fdrkit.densities import DENSITY_FLOOR, eval_density, null_pdf
 from fdrkit.prior_net import grad_check
 from fdrkit.two_groups import _fit_seeds, _loss_and_grads, _nll_terms
@@ -129,8 +128,32 @@ class TestMarginalLikelihood:
                     with pytest.raises(DomainError, match="finite"):
                         fn(*args)
 
+    @pytest.mark.parametrize("fn", [marginal_likelihood, posterior_alt])
+    def test_lengths_that_do_not_broadcast_raise_shape_error(self, fn):
+        with pytest.raises(ShapeError, match="do not broadcast"):
+            fn(np.ones(3), np.ones(2), np.full(3, 0.4), np.full(3, 0.2))
+        with pytest.raises(ShapeError):
+            fn(2.0, 1.0, np.full(3, 0.4), np.full(4, 0.2))
+
 
 class TestPosteriorAlt:
+    @pytest.mark.parametrize("grid_size", [2.5, 3.0, True, "3"])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            posterior_alt(2.0, 3.0, 0.3, 0.6, grid_size=grid_size)
+
+    @pytest.mark.parametrize("cached", [3, np.int64(3)])
+    @pytest.mark.parametrize("grid_size", [3.0, np.float64(3.0)])
+    def test_an_equal_integer_called_first_does_not_admit_a_float(
+            self, cached, grid_size):
+        posterior_alt(2.0, 3.0, 0.3, 0.6, grid_size=cached)
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            posterior_alt(2.0, 3.0, 0.3, 0.6, grid_size=grid_size)
+
+    def test_a_numpy_integer_grid_size_is_accepted(self):
+        assert posterior_alt(2.0, 3.0, 0.3, 0.6, grid_size=np.int64(3)) == (
+            posterior_alt(2.0, 3.0, 0.3, 0.6, grid_size=3))
+
     def test_equal_densities_give_prior_mean(self):
         rng = np.random.default_rng(23)
         for grid_size in (500, 1000):
@@ -202,7 +225,7 @@ class TestPosteriorAlt:
 
 def _sliced_posterior(a, b, f0z, f1z, grid_size):
     """The posterior quadrature as it ran before it used blocks and
-    threads: one loop over 1024-row slices, each through whole-slice
+    parts: one loop over 1024-row slices, each through whole-slice
     temporaries."""
     af, bf, f0f, f1f, shape = two_groups._check_shapes(a, b, f0z, f1z)
     lam, base, logs = two_groups._lambda_grid(grid_size)
@@ -228,21 +251,36 @@ def _posterior_inputs(n, seed):
     return a, b, rng.uniform(0, 1, size=n), rng.uniform(1e-9, 1, size=n)
 
 
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestPosteriorParts:
     @pytest.fixture
-    def parts(self, monkeypatch):
-        """``parts(k)`` splits every table into up to k parts, one per
-        slice at most, and records each part's rows and thread."""
-        calls = []
+    def parts(self, monkeypatch, tmp_path):
+        """``parts(k, min_chunks)`` splits every table into up to k parts
+        of at least ``min_chunks`` slices; it returns ``calls()``, the
+        rows and process of each part, which every process appends to a
+        file."""
+        log = tmp_path / "parts.log"
+        log.touch()
         run = two_groups._posterior_rows
 
-        def recorded(*args):
-            calls.append((*args[:2], threading.get_native_id()))
-            run(*args)
+        def recorded(out, lo, hi, *args):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{lo} {hi} {os.getpid()}\n")
+            run(out, lo, hi, *args)
+
+        def calls():
+            return [tuple(map(int, line.split()))
+                    for line in log.read_text(encoding="utf-8").splitlines()]
 
         def force(k, min_chunks=1):
-            monkeypatch.setattr(two_groups, "_usable_cpus", lambda: k)
-            monkeypatch.setattr(two_groups, "_MIN_PART_CHUNKS", min_chunks)
+            monkeypatch.setattr(data_model, "_usable_cpus", lambda: k)
+            monkeypatch.setattr(two_groups, "_MIN_PART_ROWS",
+                                min_chunks * two_groups._CHUNK)
             return calls
 
         monkeypatch.setattr(two_groups, "_posterior_rows", recorded)
@@ -252,26 +290,22 @@ class TestPosteriorParts:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_bit_identical_to_the_sliced_loop(self, parts, k, grid_size):
         parts(k)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as it can
-        try:
-            for n in (1, 2, 127, 128, 129, 511, 512, 513, 5000, 20003):
-                args = _posterior_inputs(n, seed=n)
-                got = posterior_alt(*args, grid_size=grid_size)
-                want = _sliced_posterior(*args, grid_size)
-                assert np.array_equal(got, want), n
-            got = posterior_alt(2.0, 3.0, 0.3, 0.6, grid_size=grid_size)
-        finally:
-            sys.setswitchinterval(interval)
+        for n in (1, 2, 127, 128, 129, 511, 512, 513, 5000, 20003):
+            args = _posterior_inputs(n, seed=n)
+            got = posterior_alt(*args, grid_size=grid_size)
+            want = _sliced_posterior(*args, grid_size)
+            assert np.array_equal(got, want), n
+        got = posterior_alt(2.0, 3.0, 0.3, 0.6, grid_size=grid_size)
         assert type(got) is float
         assert got == _sliced_posterior(2.0, 3.0, 0.3, 0.6, grid_size)
+        _no_child_left()
 
     @pytest.mark.parametrize("n, k, min_chunks, rows", [
         (1, 3, 1, [(0, 1)]),
         (0, 2, 1, [(0, 0)]),
         (2048, 3, 1, [(0, 1024), (1024, 2048)]),
         (5000, 3, 1, [(0, 1024), (1024, 3072), (3072, 5000)]),
-        (5000, 4, 8, [(0, 5000)]),  # a small table stays on one thread
+        (5000, 4, 8, [(0, 5000)]),  # a small table stays in this process
         (16384, 4, 8, [(0, 8192), (8192, 16384)]),
         (40000, 4, 8, [(0, 10240), (10240, 20480), (20480, 30720),
                        (30720, 40000)]),
@@ -281,48 +315,52 @@ class TestPosteriorParts:
                                                 min_chunks, rows):
         calls = parts(k, min_chunks)
         posterior_alt(*_posterior_inputs(n, seed=0), grid_size=2)
-        assert sorted(c[:2] for c in calls) == rows
-        assert min(calls)[2] == threading.get_native_id()  # the first part
-        assert len({c[2] for c in calls}) == len(rows)
+        assert sorted(c[:2] for c in calls()) == rows
+        pids = {c[2] for c in calls()}
+        if len(rows) == 1:
+            assert pids == {os.getpid()}
+        else:  # a child each, and none in this process
+            assert len(pids) == len(rows) and os.getpid() not in pids
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs /proc")
     def test_no_thread_outlives_a_call(self, parts):
-        calls = parts(2, two_groups._MIN_PART_CHUNKS)
+        calls = parts(2, 8)
 
         def threads():
             return (threading.active_count(),
-                    len(os.listdir("/proc/self/task")), cli._worker_count(2))
+                    len(os.listdir("/proc/self/task")))
 
         before = threads()
         posterior_alt(*_posterior_inputs(20000, seed=5), grid_size=500)
         assert threads() == before
-        assert len({c[2] for c in calls}) == 2
+        _no_child_left()
+        assert len({c[2] for c in calls()}) == 2
 
     @pytest.mark.parametrize("failing", [0, 1024, 3072])
     def test_a_failing_part_raises_its_error_after_every_join(
             self, parts, monkeypatch, failing):
         parts(3)
         run = two_groups._posterior_rows
-        err = NumericError(f"part at row {failing}")
 
-        def rows(*args):
-            if args[0] == failing:
-                raise err
-            run(*args)
+        def rows(out, lo, *args):
+            if lo in (failing, 3072):  # the first in part order is raised
+                raise NumericError(f"part at row {lo}")
+            run(out, lo, *args)
 
         monkeypatch.setattr(two_groups, "_posterior_rows", rows)
         before = threading.active_count()
         with pytest.raises(NumericError) as info:
             posterior_alt(*_posterior_inputs(5000, seed=2), grid_size=500)
-        assert info.value is err
+        assert type(info.value) is NumericError  # it crossed a pickle
+        assert str(info.value) == f"part at row {failing}"
         assert threading.active_count() == before
+        _no_child_left()
 
     def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
         monkeypatch.setattr(os, "listdir", lambda path: ["1"])
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert data_model._usable_cpus() == 1
-        assert two_groups._usable_cpus is data_model._usable_cpus
 
 
 class TestNllLoss:
@@ -357,6 +395,16 @@ class TestNllLoss:
         params = init_network(NetworkConfig(input_dim=2, hidden_sizes=(3,)))
         with pytest.raises(DomainError):
             nll_loss(params, np.zeros((0, 2)), [], [])
+
+    @pytest.mark.parametrize("f0z, f1z", [
+        ([1.0, 1.0], [1.0, 1.0, 1.0]),
+        ([1.0], [1.0]),  # one value for three rows does not broadcast
+        ([1.0] * 4, [1.0] * 4),
+    ])
+    def test_mismatched_lengths_raise_shape_error(self, f0z, f1z):
+        params = init_network(NetworkConfig(input_dim=2, hidden_sizes=(3,)))
+        with pytest.raises(ShapeError, match="3 input rows"):
+            nll_loss(params, np.zeros((3, 2)), f0z, f1z)
 
     def test_nonfinite_likelihood_names_batch_row(self):
         params = init_network(NetworkConfig(input_dim=2, hidden_sizes=(3,)))
